@@ -1,10 +1,12 @@
 """Structural invariants: derived series, simplicity, normal subgroups.
 
-Exact paths run whenever the group order is below ``EXHAUSTIVE_BOUND``
-(element enumeration is required for conjugacy classes and the normal
-lattice).  Above the bound, randomized checks with a fixed seed can still
-refute simplicity; anything they cannot settle is reported as the honest
-tri-state "unknown" rather than guessed.
+A group of order > 2 with an odd generator is refuted as simple by
+parity alone: its even part is a proper nontrivial normal subgroup.
+Otherwise exact paths run whenever the group order is below
+``EXHAUSTIVE_BOUND`` (conjugacy classes and the normal lattice are found
+by element enumeration).  Above the bound, randomized checks with a fixed
+seed can still refute simplicity; anything they cannot settle is reported
+as the honest tri-state "unknown" rather than guessed.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import random
 from typing import Literal, Optional, Sequence
 
 from .chain import StabilizerChain
-from .groups import EXHAUSTIVE_BOUND, PermGroup
+from .groups import EXHAUSTIVE_BOUND, SUBGROUP_LATTICE_BOUND, PermGroup
 from .perms import Perm, _compose, _invert
 
 TriState = Literal[True, False, "unknown"]
@@ -118,7 +120,9 @@ def is_simple(
 ) -> TriState:
     """Tri-state simplicity test.
 
-    Exact for |G| <= bound: the normal closure of every nontrivial
+    A group of order > 2 with an odd generator is not simple: its
+    intersection with the alternating group has index 2.  Otherwise exact
+    for |G| <= bound: the normal closure of every nontrivial
     conjugacy-class representative must be the whole group.  Above the
     bound, ``trials`` random elements (fixed seed) can refute simplicity
     via a proper closure; if none does, the honest answer is "unknown".
@@ -136,6 +140,8 @@ def is_simple(
 def _is_simple_uncached(group: PermGroup, bound: int, trials: int) -> TriState:
     order = group.order()
     if order == 1:
+        return False
+    if order > 2 and _has_odd_generator(group):
         return False
     if order <= bound:
         reps = conjugacy_class_representatives(group, bound)
@@ -156,6 +162,24 @@ def _is_simple_uncached(group: PermGroup, bound: int, trials: int) -> TriState:
         if closure.order() != order:
             return False
     return "unknown"
+
+
+def _has_odd_generator(group: PermGroup) -> bool:
+    return not all(g.is_even() for g in group.generators)
+
+
+def simplicity_is_cheap(group: PermGroup) -> bool:
+    """Whether ``is_simple(group)`` answers without a costly enumeration.
+
+    True for small groups, for groups whose answer is already cached, and
+    for groups the parity test refutes.  The one policy for callers that
+    consult simplicity only as a shortcut.
+    """
+    return (
+        group.order() <= SUBGROUP_LATTICE_BOUND
+        or getattr(group, "_simple_cache", None) is not None
+        or _has_odd_generator(group)
+    )
 
 
 def _normal_subgroup_orders(group: PermGroup, bound: int) -> Optional[list[int]]:

@@ -26,7 +26,7 @@ from typing import Literal, Optional, Sequence
 from .chain import StabilizerChain, closure_elements
 from .groups import SUBGROUP_LATTICE_BOUND, PermGroup
 from .perms import Perm
-from .structure import TriState, is_simple
+from .structure import TriState, is_simple, simplicity_is_cheap
 
 #: r above this is out of reach for the backtrack (Sym(r)^k blow-up).
 BACKTRACK_MAX_INDEX = 8
@@ -219,10 +219,7 @@ def has_proper_subgroup_of_index(
     order = group.order()
     if order % r != 0:
         return False, None, "lagrange-shortcut"
-    simplicity_cheap = (
-        order <= SUBGROUP_LATTICE_BOUND
-        or getattr(group, "_simple_cache", None) is not None
-    )
+    simplicity_cheap = simplicity_is_cheap(group)
     if (
         shortcut
         and simplicity_cheap

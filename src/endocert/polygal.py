@@ -346,6 +346,10 @@ class CycleTypeCensus:
     sampled: int
     counts: dict[tuple[int, ...], int]
     excluded: list[tuple[int, str]] = field(default_factory=list)
+    #: every prime tried, with its degree pattern (None for a bad prime)
+    patterns: dict[int, Optional[tuple[int, ...]]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def support(self) -> set[tuple[int, ...]]:
         return set(self.counts)
@@ -373,11 +377,17 @@ def census(f: IntPoly, prime_budget: int = DEFAULT_PRIME_BUDGET) -> CycleTypeCen
         raise ValueError("polynomial has a repeated root")
     counts: dict[tuple[int, ...], int] = {}
     excluded: list[tuple[int, str]] = []
+    patterns: dict[int, Optional[tuple[int, ...]]] = {}
+    # one tuple per distinct pattern: ~200 live copies fragment the heap
+    canonical: dict[tuple[int, ...], tuple[int, ...]] = {}
     good = 0
     for p in odd_primes():
         if good == prime_budget:
             break
         pattern = degree_pattern_mod_p(f, p)
+        if pattern is not None:
+            pattern = canonical.setdefault(pattern, pattern)
+        patterns[p] = pattern
         if pattern is None:
             reason = (
                 "divides leading coefficient" if f.leading() % p == 0 else "non-squarefree reduction"
@@ -386,19 +396,52 @@ def census(f: IntPoly, prime_budget: int = DEFAULT_PRIME_BUDGET) -> CycleTypeCen
             continue
         counts[pattern] = counts.get(pattern, 0) + 1
         good += 1
-    return CycleTypeCensus(degree=f.degree, sampled=good, counts=counts, excluded=excluded)
+    return CycleTypeCensus(
+        degree=f.degree, sampled=good, counts=counts, excluded=excluded, patterns=patterns
+    )
 
 
 # -- exact distributions and matching -------------------------------------------
 
 
+def _partitions(n: int, largest: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+    """Partitions of n with parts at most ``largest``, each descending."""
+    if n == 0:
+        yield ()
+        return
+    for k in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k,) + rest
+
+
+def _class_size(parts: tuple[int, ...]) -> int:
+    """Number of permutations of cycle type ``parts``: n! / prod k^m_k m_k!."""
+    denom = 1
+    for k in set(parts):
+        m = parts.count(k)
+        denom *= k**m * math.factorial(m)
+    return math.factorial(sum(parts)) // denom
+
+
 def cycle_type_distribution(group: PermGroup) -> dict[tuple[int, ...], Fraction]:
     """Exact cycle-type distribution of a permutation group.
 
-    Element enumeration (exhaustive bound applies); the fractions sum
-    to 1 and the underlying counts to the group order.
+    For |G| = n! (G = S_n) and |G| = n!/2 (G = A_n, the only index-2
+    subgroup of S_n) the class-size formula n! / prod k^m_k m_k! over the
+    partitions of n gives it directly; A_n keeps the even types, doubled.
+    Any other group is enumerated, and the exhaustive bound applies.  The
+    fractions sum to 1 and the underlying counts to the group order.
     """
     order = group.order()
+    n = group.degree
+    full = math.factorial(n)
+    if order in (full, full // 2):
+        even_only = order != full
+        return {
+            t: Fraction(_class_size(t), order)
+            for t in _partitions(n)
+            if not even_only or (n - len(t)) % 2 == 0
+        }
     if order > EXHAUSTIVE_BOUND:
         raise ValueError(f"group order {order} exceeds the census bound")
     counts: dict[tuple[int, ...], int] = {}
@@ -500,7 +543,7 @@ def identify(
             raise ValueError("empty census")
         if contained:
             chi = 0.0
-            for t, prob in dist.items():
+            for t, prob in sorted(dist.items()):
                 expected = float(prob) * sample.sampled
                 observed = sample.counts.get(t, 0)
                 chi += (observed - expected) ** 2 / expected
@@ -566,7 +609,11 @@ def _is_odd_prime_power(q: int) -> bool:
 
 
 def joint_census(
-    f: IntPoly, h: IntPoly, prime_budget: int = DEFAULT_PRIME_BUDGET
+    f: IntPoly,
+    h: IntPoly,
+    prime_budget: int = DEFAULT_PRIME_BUDGET,
+    known_f: Optional[CycleTypeCensus] = None,
+    known_h: Optional[CycleTypeCensus] = None,
 ) -> tuple[CycleTypeCensus, CycleTypeCensus, dict[tuple, int], float]:
     """Paired censuses of f and h over shared good primes.
 
@@ -574,7 +621,11 @@ def joint_census(
     and an independence score: the chi-square tail probability of the
     contingency table.  Used as heuristic evidence that the splitting
     fields are linearly disjoint (product distribution), never as proof.
+    ``known_f`` and ``known_h`` are earlier censuses of f and h whose
+    per-prime patterns are reused rather than recomputed.
     """
+    seen_f = known_f.patterns if known_f is not None else {}
+    seen_h = known_h.patterns if known_h is not None else {}
     counts_f: dict[tuple[int, ...], int] = {}
     counts_h: dict[tuple[int, ...], int] = {}
     joint: dict[tuple, int] = {}
@@ -583,8 +634,8 @@ def joint_census(
     for p in odd_primes():
         if good == prime_budget:
             break
-        pat_f = degree_pattern_mod_p(f, p)
-        pat_h = degree_pattern_mod_p(h, p)
+        pat_f = seen_f[p] if p in seen_f else degree_pattern_mod_p(f, p)
+        pat_h = seen_h[p] if p in seen_h else degree_pattern_mod_p(h, p)
         if pat_f is None or pat_h is None:
             excluded.append((p, "bad prime for the pair"))
             continue

@@ -28,7 +28,7 @@ from ..permgroup import (
     is_simple,
     psl2_subgroup_criterion,
 )
-from ..permgroup.structure import TriState
+from ..permgroup.structure import TriState, simplicity_is_cheap
 from ..polygal import (
     DEFAULT_PRIME_BUDGET,
     MATCH_THRESHOLD,
@@ -279,6 +279,12 @@ class _Ctx:
         #                  "simple": FactRecord}
         self.overrides = fact_overrides or {}
         self.consumed: list[tuple[str, FactRecord]] = []
+        self._centralizer: Optional[CentralizerReport] = None
+
+    def centralizer(self) -> CentralizerReport:
+        if self._centralizer is None:
+            self._centralizer = heart_centralizer(self.group)
+        return self._centralizer
 
     def simple(self) -> TriState:
         rec = self.overrides.get("simple")
@@ -294,13 +300,7 @@ class _Ctx:
         return is_perfect(self.group)
 
     def _simplicity_is_cheap(self) -> bool:
-        from ..permgroup.groups import SUBGROUP_LATTICE_BOUND
-
-        return (
-            self.overrides.get("simple") is not None
-            or self.order <= SUBGROUP_LATTICE_BOUND
-            or getattr(self.group, "_simple_cache", None) is not None
-        )
+        return self.overrides.get("simple") is not None or simplicity_is_cheap(self.group)
 
     def no_proper_subgroup_of_index(self, m: int) -> TriState:
         """True here means NO proper subgroup of index m exists."""
@@ -391,7 +391,7 @@ def analyze_center(
         raise ValueError("degree 4 is refused: the heart action is not faithful")
     g = (n - 1) // 2
     ctx = ctx or _Ctx(group)
-    report = heart_centralizer(group)
+    report = ctx.centralizer()
     entries: list[ChecklistEntry] = []
     if report.classification is CentralizerClass.SCALARS:
         desc = "the scalar field F_2"
@@ -1054,7 +1054,8 @@ def _rule_psl2_natural(group, n, g, char, entries, caveats, q: int) -> Verdict:
     )
     if not crit:
         return _inconclusive(entries, caveats, "the subgroup-index criterion failed")
-    report = heart_centralizer(group)
+    ctx = _Ctx(group)
+    report = ctx.centralizer()
     if q % 8 in (3, 5):
         consistent = (
             report.classification is CentralizerClass.FIELD and report.field_size == 4
@@ -1090,7 +1091,7 @@ def _rule_psl2_natural(group, n, g, char, entries, caveats, q: int) -> Verdict:
             f"classification {report.classification.value}, dimension {report.dim}",
         )
     )
-    return _generic_rule(group, n, g, char, entries, caveats)
+    return _generic_rule(group, n, g, char, entries, caveats, ctx=ctx)
 
 
 def _rule_mathieu_large(group, n, g, char, entries, caveats) -> Verdict:
@@ -1160,9 +1161,10 @@ def hom_pair_analysis(
         )
     ]
     caveats: list[str] = []
-    sides = []
+    samples = []
     for label, poly, cands in (("first", f, candidates_f), ("second", h, candidates_h)):
         case, sample, hyps = case_from_polynomial(poly, char, prime_budget, cands)
+        samples.append(sample)
         if case is None:
             entries.append(
                 _entry(
@@ -1200,8 +1202,9 @@ def hom_pair_analysis(
             return _inconclusive(
                 entries, caveats, f"transitivity hypothesis failed for the {label} polynomial"
             )
-        sides.append(case)
-    _, _, _, independence = joint_census(f, h, prime_budget)
+    _, _, _, independence = joint_census(
+        f, h, prime_budget, known_f=samples[0], known_h=samples[1]
+    )
     heuristic_ok = independence >= MATCH_THRESHOLD
     entries.append(
         _entry(

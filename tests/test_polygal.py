@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from endocert import polygal
 from endocert.errors import ParseError
-from endocert.permgroup import families as fam
+from endocert.permgroup import PermGroup, Perm, families as fam
+from endocert.permgroup.chain import StabilizerChain
 from endocert.polygal import (
     CycleTypeCensus,
     IntPoly,
@@ -160,6 +162,31 @@ class TestDistributions:
             assert sum(dist.values()) == Fraction(1)
             assert all(sum(t) == build().degree for t in dist)
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_closed_form_matches_enumeration(self, n):
+        for group in (fam.symmetric_group(n), fam.alternating_group(n)):
+            counts: dict[tuple[int, ...], int] = {}
+            for g in group.elements():
+                counts[g.cycle_type()] = counts.get(g.cycle_type(), 0) + 1
+            enumerated = {t: Fraction(c, group.order()) for t, c in counts.items()}
+            closed = cycle_type_distribution(group)
+            assert closed.keys() == enumerated.keys()
+            assert closed == enumerated
+
+    def test_closed_form_never_enumerates(self, monkeypatch):
+        def refuse(self, limit=None):
+            raise AssertionError("element enumeration")
+
+        monkeypatch.setattr(StabilizerChain, "elements", refuse)
+        s9 = PermGroup(9, [Perm.parse("(1 2)", 9), Perm.parse("(1 2 3 4 5 6 7 8 9)", 9)])
+        a9 = PermGroup(9, [Perm.parse("(1 2 3)", 9), Perm.parse("(1 2 3 4 5 6 7 8 9)", 9)])
+        dist_s9 = cycle_type_distribution(s9)
+        dist_a9 = cycle_type_distribution(a9)
+        assert len(dist_s9) == 30  # partitions of 9
+        assert sum(dist_s9.values()) == sum(dist_a9.values()) == Fraction(1)
+        assert all((9 - len(t)) % 2 == 0 for t in dist_a9)
+        assert dist_a9[(9,)] == 2 * dist_s9[(9,)] == Fraction(2, 9)
+
     def test_psl2_7_distribution(self):
         dist = cycle_type_distribution(fam.psl2_7_on_7_points())
         assert dist[(7,)] == Fraction(48, 168)
@@ -219,6 +246,27 @@ def test_joint_census_independent_pair():
     cf, ch, joint, score = joint_census(f, h, 150)
     assert cf.sampled == ch.sampled == sum(joint.values())
     assert score > 0.01  # splitting fields look independent
+
+
+def test_joint_census_reuses_known_patterns(monkeypatch):
+    f = IntPoly.parse("x^7 - x - 1")
+    h = IntPoly.parse("x^8 - x - 1")
+    fresh = joint_census(f, h, 60)
+    known_f, known_h = census(f, 60), census(h, 60)
+    calls = []
+    real = polygal.degree_pattern_mod_p
+
+    def counted(poly, p):
+        calls.append((poly, p))
+        return real(poly, p)
+
+    monkeypatch.setattr(polygal, "degree_pattern_mod_p", counted)
+    reused = joint_census(f, h, 60, known_f=known_f, known_h=known_h)
+    assert calls  # the pair needs a few primes past each census
+    for poly, p in calls:
+        assert p not in (known_f if poly == f else known_h).patterns
+    assert [c.to_stable_dict() for c in reused[:2]] == [c.to_stable_dict() for c in fresh[:2]]
+    assert reused[2:] == fresh[2:]
 
 
 def test_joint_census_dependent_pair_scores_low():

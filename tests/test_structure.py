@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from endocert.permgroup import (
     conjugacy_class_representatives,
@@ -9,8 +10,35 @@ from endocert.permgroup import (
     is_solvable,
     normal_closure,
     Perm,
+    PermGroup,
     families as fam,
 )
+from endocert.permgroup.chain import StabilizerChain
+from endocert.permgroup.structure import simplicity_is_cheap
+
+
+def _simple_by_classes(group):
+    """Exhaustive oracle: every nontrivial class has the whole group as normal closure."""
+    order = group.order()
+    if order == 1:
+        return False
+    return all(
+        normal_closure(group, [rep]).order() == order
+        for rep in conjugacy_class_representatives(group)
+        if not rep.is_identity()
+    )
+
+
+@st.composite
+def small_subgroups(draw):
+    """Random subgroups of S5..S7, each generator moving an initial segment."""
+    n = draw(st.integers(5, 7))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(2, n))
+        head = draw(st.permutations(range(k)))
+        gens.append(Perm(tuple(head) + tuple(range(k, n))))
+    return PermGroup(n, gens)
 
 
 class TestDerivedSeries:
@@ -90,6 +118,29 @@ class TestSimplicity:
         # never affirm
         assert is_simple(fam.symmetric_group(5), bound=10) is False
         assert is_simple(fam.alternating_group(5), bound=10) == "unknown"
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_subgroups())
+    def test_parity_refutation_agrees_with_classes(self, group):
+        oracle = _simple_by_classes(PermGroup(group.degree, group.generators))
+        if group.order() > 2 and not all(g.is_even() for g in group.generators):
+            assert oracle is False
+        assert is_simple(group) is oracle
+
+    def test_odd_generator_refuted_without_enumeration(self, monkeypatch):
+        def refuse(self, limit=None):
+            raise AssertionError("element enumeration")
+
+        monkeypatch.setattr(StabilizerChain, "elements", refuse)
+        s9 = PermGroup(9, [Perm.parse("(1 2)", 9), Perm.parse("(1 2 3 4 5 6 7 8 9)", 9)])
+        assert simplicity_is_cheap(s9)
+        assert is_simple(s9) is False
+        # the parity test applies above the enumeration bound too
+        s12 = PermGroup(12, [Perm.parse("(1 2)", 12), Perm.parse("(1 2 3 4 5 6 7 8 9 10 11 12)", 12)])
+        assert is_simple(s12) is False
+
+    def test_order_two_group_is_simple(self):
+        assert is_simple(PermGroup(5, [Perm.parse("(1 2)", 5)])) is True
 
     def test_conjugacy_class_counts(self):
         reps = conjugacy_class_representatives(fam.symmetric_group(5))

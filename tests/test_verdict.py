@@ -107,6 +107,19 @@ class TestAnalyzeCenter:
         assert analysis.report.field_size == 4
         assert analysis.center_is_field is True
 
+    def test_psl2_heart_commutant_computed_once(self, monkeypatch):
+        # q = 9 = 1 (mod 8): the PSL(2,q) rule falls through to the generic route
+        from endocert.verdict import engine
+
+        calls = []
+        real = engine.heart_centralizer
+        monkeypatch.setattr(
+            engine, "heart_centralizer", lambda group: calls.append(group) or real(group)
+        )
+        v = analyze_jacobian(case_from_group(fam.psl2(9), 0))
+        assert len(calls) == 1
+        assert any(e.hypothesis.startswith("commutant of the mod-2") for e in v.checklist)
+
     def test_s7_index_two_blocks_center_q(self):
         analysis = analyze_center(fam.symmetric_group(7), 7, 0)
         assert analysis.report.classification is CentralizerClass.SCALARS
