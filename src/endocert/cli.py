@@ -34,6 +34,7 @@ from .verdict import (
     case_from_group,
     case_from_polynomial,
     hom_pair_analysis,
+    unidentified_verdict,
 )
 
 EXIT_OK = 0
@@ -130,7 +131,10 @@ def _parse_group(args) -> PermGroup:
     elif key.upper().startswith("S") and key[1:].isdigit():
         group = fam.symmetric_group(int(key[1:]))
     elif key.startswith("@"):
-        text = Path(key[1:]).read_text()
+        try:
+            text = Path(key[1:]).read_text()
+        except OSError as exc:
+            raise ParseError(f"cannot read generators from {key[1:]}: {exc}") from exc
         group = PermGroup(degree, parse_generators(text, degree))
     else:
         group = PermGroup(degree, parse_generators(raw, degree))
@@ -163,20 +167,7 @@ def _cmd_analyze(args) -> int:
     f = _parse_poly(args)
     case, sample, hyps = case_from_polynomial(f, args.char, args.prime_budget)
     if case is None:
-        from .verdict.engine import ChecklistEntry, Verdict
-
-        entries = [
-            ChecklistEntry(
-                "Galois group identified from the cycle-type census",
-                "unknown",
-                "computed: degree-partition census",
-                "no candidate matched; supply the group with group-check",
-            )
-        ]
-        verdict = Verdict(Outcome.INCONCLUSIVE, entries,
-                          ["inconclusive: no Galois-group candidate matched the census"])
-        verdict.case = {"polynomial": str(f), "characteristic": args.char}
-        _emit(verdict, args.format)
+        _emit(unidentified_verdict(f, args.char), args.format)
         return EXIT_OK
     verdict = analyze_jacobian(case)
     _emit(verdict, args.format)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
+from .arith import is_prime
 from .errors import ParseError
 
 #: Full multiplicative-closure verification is quadratic in the basis; above
@@ -26,7 +27,7 @@ CLOSURE_CHECK_LIMIT = 64
 
 
 def _validate_modulus(mod: int) -> None:
-    if mod < 2 or any(mod % d == 0 for d in range(2, int(mod**0.5) + 1)):
+    if not is_prime(mod):
         raise ValueError(f"modulus must be prime, got {mod}")
 
 
@@ -81,9 +82,6 @@ class MatF:
 
     def to_entries(self) -> list[list[int]]:
         return [[self.entry(i, j) for j in range(self.ncols)] for i in range(self.nrows)]
-
-    def row_vector(self, i: int):
-        return self.rows[i]
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -163,12 +161,6 @@ class MatF:
         if self.mod == 2:
             return all(r == 0 for r in self.rows)
         return all(all(x == 0 for x in row) for row in self.rows)
-
-    def transpose(self) -> "MatF":
-        return MatF.from_entries(
-            self.mod,
-            [[self.entry(i, j) for i in range(self.nrows)] for j in range(self.ncols)],
-        )
 
     # -- vectorization (column-major, fixed for reproducible kernels) ----------
 

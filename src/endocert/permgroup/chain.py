@@ -177,9 +177,6 @@ class StabilizerChain:
         residue, _ = self._sift(tuple(g), 0)
         return _is_id(residue)
 
-    def strong_generators(self) -> list[tuple[int, ...]]:
-        return [g for g, _ in self._strong]
-
     def level_generators(self, idx: int) -> list[tuple[int, ...]]:
         """Strong generators of the idx-th group in the chain."""
         return [g for g, home in self._strong if home >= idx]

@@ -12,6 +12,7 @@ import itertools
 from functools import cache
 from typing import Optional, Sequence
 
+from ..arith import is_prime
 from .chain import closure_elements
 from .groups import PermGroup
 from .perms import Perm
@@ -41,7 +42,7 @@ class SmallField:
             self.p, poly = _IRREDUCIBLE[q]
             self.k = len(poly) - 1
             self._poly = poly
-        elif _is_prime(q):
+        elif is_prime(q):
             self.p, self.k, self._poly = q, 1, None
         else:
             raise ValueError(f"no field table entry for q = {q}")
@@ -111,15 +112,6 @@ class SmallField:
             if n == target:
                 return g
         raise ArithmeticError("no primitive element found")
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for d in range(2, int(n**0.5) + 1):
-        if n % d == 0:
-            return False
-    return True
 
 
 # -- classical families ------------------------------------------------------
@@ -216,11 +208,6 @@ def psl2(q: int) -> PermGroup:
         scale[inf] = inf
         gens.append(Perm(tuple(scale)))
     return PermGroup(n, gens, name=f"PSL(2,{q})")
-
-
-def psl2_order(q: int) -> int:
-    d = 2 if q % 2 else 1
-    return (q + 1) * q * (q - 1) // d
 
 
 # -- Mathieu groups (classical generator sets) -------------------------------

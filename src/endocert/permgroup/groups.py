@@ -6,7 +6,7 @@ import random
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .chain import StabilizerChain, closure_elements
+from .chain import StabilizerChain
 from .perms import Perm
 
 #: Exhaustive-method cutoff for element enumeration (conjugacy classes,
@@ -22,8 +22,9 @@ class PermGroup:
     """A permutation group of fixed degree given by generators.
 
     Immutable after construction; the stabilizer chain, order and orbit
-    data are computed on first use and cached.  Safe to share across
-    threads once built.
+    data are computed on first use and cached, and ``_simple`` caches the
+    answer of ``structure.is_simple`` (None until it is asked).  Safe to
+    share across threads once built.
     """
 
     def __init__(
@@ -45,6 +46,7 @@ class PermGroup:
         self.degree = degree
         self.generators: tuple[Perm, ...] = tuple(gens)
         self.name = name
+        self._simple = None
 
     @classmethod
     def from_cycle_strings(
@@ -146,17 +148,6 @@ class PermGroup:
                 images[index[p]] = index[q]
             gens.append(Perm(tuple(images)))
         return PermGroup(len(points), gens, name=self.name)
-
-    def brute_force_order(self, limit: int = SUBGROUP_LATTICE_BOUND) -> Optional[int]:
-        """Order by plain closure enumeration; None if it exceeds the limit.
-
-        Independent of the stabilizer chain, so it doubles as an oracle for
-        the chain-based order.
-        """
-        elems = closure_elements(
-            self.degree, [g.images for g in self.generators], limit=limit
-        )
-        return None if elems is None else len(elems)
 
     def conjugate(self, h: Perm) -> "PermGroup":
         """The conjugate group h G h^-1 (relabelling points by h)."""

@@ -159,9 +159,6 @@ class Perm:
     def is_even(self) -> bool:
         return sum(len(c) - 1 for c in self.cycles()) % 2 == 0
 
-    def moved_points(self) -> list[int]:
-        return [i for i, j in enumerate(self.images) if i != j]
-
     def cycle_string(self) -> str:
         """1-based disjoint-cycle rendering; identity renders as "()"."""
         cs = self.cycles()

@@ -128,12 +128,11 @@ def is_simple(
     via a proper closure; if none does, the honest answer is "unknown".
     The result is cached on the group for the default bound.
     """
-    cached = getattr(group, "_simple_cache", None)
-    if cached is not None and bound == EXHAUSTIVE_BOUND:
-        return cached
+    if group._simple is not None and bound == EXHAUSTIVE_BOUND:
+        return group._simple
     result = _is_simple_uncached(group, bound, trials)
     if bound == EXHAUSTIVE_BOUND:
-        group._simple_cache = result
+        group._simple = result
     return result
 
 
@@ -177,7 +176,7 @@ def simplicity_is_cheap(group: PermGroup) -> bool:
     """
     return (
         group.order() <= SUBGROUP_LATTICE_BOUND
-        or getattr(group, "_simple_cache", None) is not None
+        or group._simple is not None
         or _has_odd_generator(group)
     )
 

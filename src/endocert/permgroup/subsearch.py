@@ -9,6 +9,8 @@ product-action stabilizer chain checks without needing a presentation.
 Strategy ladder per index r (smallest r wins):
   1. Lagrange: r must divide |G|.
   2. Faithful-action shortcut for groups known simple: |G| must divide r!.
+     Simplicity is consulted when it is cheap, or when it is exact and the
+     backtrack below would scan more than 5000 generator-image assignments.
   3. Backtracking over generator images in Sym(r), the first image taken
      up to conjugacy (one representative per cycle type).
   4. Exhaustive subgroup lattice for |G| <= SUBGROUP_LATTICE_BOUND.
@@ -23,8 +25,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Literal, Optional, Sequence
 
+from ..arith import partitions, prime_power
 from .chain import StabilizerChain, closure_elements
-from .groups import SUBGROUP_LATTICE_BOUND, PermGroup
+from .groups import EXHAUSTIVE_BOUND, SUBGROUP_LATTICE_BOUND, PermGroup
 from .perms import Perm
 from .structure import TriState, is_simple, simplicity_is_cheap
 
@@ -59,7 +62,7 @@ def _perms_of_order_dividing(r: int, d: int) -> tuple[tuple[int, ...], ...]:
 def _cycle_type_representatives(r: int, d: int) -> list[tuple[int, ...]]:
     """One permutation per cycle type of Sym(r) whose order divides d."""
     reps = []
-    for partition in _partitions(r):
+    for partition in partitions(r):
         if d % math.lcm(*partition) != 0:
             continue
         images = list(range(r))
@@ -70,23 +73,6 @@ def _cycle_type_representatives(r: int, d: int) -> list[tuple[int, ...]]:
             start += length
         reps.append(tuple(images))
     return reps
-
-
-def _partitions(n: int) -> list[tuple[int, ...]]:
-    """Partitions of n, descending parts, deterministic order."""
-    if n == 0:
-        return [()]
-    out = []
-
-    def rec(remaining: int, cap: int, prefix: tuple[int, ...]):
-        if remaining == 0:
-            out.append(prefix)
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            rec(remaining - part, part, prefix + (part,))
-
-    rec(n, n, ())
-    return out
 
 
 def _is_transitive_on(r: int, perms: Sequence[tuple[int, ...]]) -> bool:
@@ -102,19 +88,16 @@ def _is_transitive_on(r: int, perms: Sequence[tuple[int, ...]]) -> bool:
     return len(seen) == r
 
 
-def _backtrack_candidate_count(group: PermGroup, r: int) -> Optional[int]:
-    """Size of the image-assignment space the backtrack would scan."""
+def _backtrack_is_cheap(group: PermGroup, r: int) -> bool:
+    """Whether the backtrack scans at most 5000 generator-image assignments."""
     if r > BACKTRACK_MAX_INDEX or not group.generators:
-        return None
+        return False
     sizes = [
         len(_perms_of_order_dividing(r, g.order())) for g in group.generators
     ]
     pivot = max(range(len(sizes)), key=lambda i: sizes[i])
     sizes[pivot] = len(_cycle_type_representatives(r, group.generators[pivot].order()))
-    total = 1
-    for s in sizes:
-        total *= s
-    return total
+    return math.prod(sizes) <= 5000
 
 
 def _homomorphism_search(group: PermGroup, r: int) -> Optional[tuple[Perm, ...]]:
@@ -173,7 +156,6 @@ def _lattice_has_index(group: PermGroup, r: int) -> Optional[tuple[Perm, ...]]:
     )
     perms = [tuple(b) for b in elements]
     seen: set[frozenset[bytes]] = set()
-    found: Optional[tuple[Perm, ...]] = None
 
     def consider(gens: tuple[tuple[int, ...], ...]) -> Optional[frozenset[bytes]]:
         elems = closure_elements(degree, gens, limit=target + 1)
@@ -203,7 +185,7 @@ def _lattice_has_index(group: PermGroup, r: int) -> Optional[tuple[Perm, ...]]:
             new_key = consider(new_gens)
             if new_key is not None:
                 work.append((new_key, new_gens))
-    return found
+    return None
 
 
 def has_proper_subgroup_of_index(
@@ -219,43 +201,25 @@ def has_proper_subgroup_of_index(
     order = group.order()
     if order % r != 0:
         return False, None, "lagrange-shortcut"
-    simplicity_cheap = simplicity_is_cheap(group)
+    # when simplicity is not cheap, a cheap backtrack beats an exact
+    # simplicity check; above the exhaustive bound is_simple cannot answer
+    # True, so the shortcut would only burn the randomized budget
     if (
         shortcut
-        and simplicity_cheap
-        and is_simple(group) is True
-        and math.factorial(r) % order != 0
-    ):
-        return False, None, "lagrange-shortcut"
-    backtrack_cost = _backtrack_candidate_count(group, r)
-    if backtrack_cost is not None and backtrack_cost <= 5000:
-        # cheaper than an expensive exact simplicity check
-        cert = _homomorphism_search(group, r)
-        if cert is not None:
-            return True, cert, "action-backtrack"
-        return False, None, "action-backtrack"
-    # above the exhaustive bound is_simple cannot answer True, so the
-    # shortcut would only burn the randomized budget
-    from .groups import EXHAUSTIVE_BOUND
-
-    if (
-        shortcut
-        and not simplicity_cheap
-        and order <= EXHAUSTIVE_BOUND
+        and (
+            simplicity_is_cheap(group)
+            or (order <= EXHAUSTIVE_BOUND and not _backtrack_is_cheap(group, r))
+        )
         and is_simple(group) is True
         and math.factorial(r) % order != 0
     ):
         return False, None, "lagrange-shortcut"
     if r <= BACKTRACK_MAX_INDEX:
         cert = _homomorphism_search(group, r)
-        if cert is not None:
-            return True, cert, "action-backtrack"
-        return False, None, "action-backtrack"
+        return cert is not None, cert, "action-backtrack"
     if order <= SUBGROUP_LATTICE_BOUND:
         cert = _lattice_has_index(group, r)
-        if cert is not None:
-            return True, cert, "exhaustive"
-        return False, None, "exhaustive"
+        return cert is not None, cert, "exhaustive"
     return "unknown", None, "unknown"
 
 
@@ -302,8 +266,7 @@ def psl2_subgroup_criterion(q: int) -> bool:
         raise ValueError("q must be >= 5")
     if q % 2 == 0:
         raise ValueError("q must be odd")
-    factors = _prime_power_factor(q)
-    if factors is None:
+    if prime_power(q) is None:
         raise ValueError(f"q = {q} is not a prime power")
     order = (q + 1) * q * (q - 1) // 2
     half = (q - 1) // 2
@@ -314,21 +277,3 @@ def psl2_subgroup_criterion(q: int) -> bool:
     case2 = (q + 1) * (q + 1) * q <= (q - 1) * (q - 1)
     return not case1 and not case2
 
-
-def _prime_power_factor(q: int) -> Optional[tuple[int, int]]:
-    """(p, k) with q = p^k, or None."""
-    if q < 2:
-        return None
-    p = None
-    m = q
-    for cand in range(2, int(math.isqrt(q)) + 1):
-        if m % cand == 0:
-            p = cand
-            break
-    if p is None:
-        return (q, 1)
-    k = 0
-    while m % p == 0:
-        m //= p
-        k += 1
-    return (p, k) if m == 1 else None

@@ -13,12 +13,14 @@ assignment.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
+from .arith import is_odd_prime_power, is_prime, partitions
 from .errors import ParseError
 from .permgroup import PermGroup
 from .permgroup.groups import EXHAUSTIVE_BOUND
@@ -147,15 +149,6 @@ class IntPoly:
         return cls(tuple(coeffs.get(i, 0) for i in range(deg + 1)))
 
 
-def _poly_mul_z(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 def _content(c: Sequence[int]) -> int:
     g = 0
     for x in c:
@@ -280,7 +273,7 @@ def degree_pattern_mod_p(f: IntPoly, p: int) -> Optional[tuple[int, ...]]:
     partition matters.  Returns None for a bad prime: p even, p dividing
     the leading coefficient, or f mod p not squarefree.
     """
-    if p < 3 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+    if p < 3 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     if f.leading() % p == 0:
         return None
@@ -327,12 +320,7 @@ def _pm_quo(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def odd_primes() -> Iterator[int]:
-    yield 3
-    n = 5
-    while True:
-        if all(n % d for d in range(3, int(n**0.5) + 1, 2)):
-            yield n
-        n += 2
+    return filter(is_prime, itertools.count(3, 2))
 
 
 # -- the census ----------------------------------------------------------------
@@ -404,16 +392,6 @@ def census(f: IntPoly, prime_budget: int = DEFAULT_PRIME_BUDGET) -> CycleTypeCen
 # -- exact distributions and matching -------------------------------------------
 
 
-def _partitions(n: int, largest: Optional[int] = None) -> Iterator[tuple[int, ...]]:
-    """Partitions of n with parts at most ``largest``, each descending."""
-    if n == 0:
-        yield ()
-        return
-    for k in range(min(n, largest or n), 0, -1):
-        for rest in _partitions(n - k, k):
-            yield (k,) + rest
-
-
 def _class_size(parts: tuple[int, ...]) -> int:
     """Number of permutations of cycle type ``parts``: n! / prod k^m_k m_k!."""
     denom = 1
@@ -439,7 +417,7 @@ def cycle_type_distribution(group: PermGroup) -> dict[tuple[int, ...], Fraction]
         even_only = order != full
         return {
             t: Fraction(_class_size(t), order)
-            for t in _partitions(n)
+            for t in partitions(n)
             if not even_only or (n - len(t)) % 2 == 0
         }
     if order > EXHAUSTIVE_BOUND:
@@ -593,19 +571,10 @@ def standard_candidates(n: int) -> list[PermGroup]:
     if n == 12:
         out.append(fam.mathieu_group(12))
     prime_power = n - 1
-    if n >= 6 and _is_odd_prime_power(prime_power):
+    if n >= 6 and is_odd_prime_power(prime_power):
         out.append(fam.psl2(prime_power))
     # keep only enumerable candidates
     return [g for g in out if g.order() <= EXHAUSTIVE_BOUND]
-
-
-def _is_odd_prime_power(q: int) -> bool:
-    if q < 3 or q % 2 == 0:
-        return False
-    p = next((d for d in range(2, int(q**0.5) + 1) if q % d == 0), q)
-    while q % p == 0:
-        q //= p
-    return q == 1
 
 
 def joint_census(

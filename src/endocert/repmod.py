@@ -86,7 +86,6 @@ class CentralizerReport:
     algebra: FSubalgebra
     classification: CentralizerClass
     field_size: Optional[int]
-    transitivity_used: int
     klemm_hypothesis: bool
 
     @property
@@ -134,7 +133,6 @@ def heart_centralizer(group: PermGroup) -> CentralizerReport:
         algebra=algebra,
         classification=cls,
         field_size=size,
-        transitivity_used=transitivity,
         klemm_hypothesis=hypothesis,
     )
 

@@ -14,6 +14,7 @@ from .engine import (
     hom_pair_analysis,
     multiplication_bound,
     recognize,
+    unidentified_verdict,
 )
 from .facts import FACTS, FactRecord, fact
 from .glz import OrderWitness, gl_has_element_of_order, matrix_order_is
@@ -38,4 +39,5 @@ __all__ = [
     "matrix_order_is",
     "multiplication_bound",
     "recognize",
+    "unidentified_verdict",
 ]

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Literal, Optional, Sequence
 
+from ..arith import factorize, is_odd_prime_power, is_prime
 from ..errors import InternalInconsistencyError
 from ..permgroup import (
     PermGroup,
@@ -28,7 +29,7 @@ from ..permgroup import (
     is_simple,
     psl2_subgroup_criterion,
 )
-from ..permgroup.structure import TriState, simplicity_is_cheap
+from ..permgroup.structure import TriState
 from ..polygal import (
     DEFAULT_PRIME_BUDGET,
     MATCH_THRESHOLD,
@@ -207,12 +208,29 @@ def case_from_polynomial(
     return case, sample, hyps
 
 
+def unidentified_verdict(f: IntPoly, char: int) -> Verdict:
+    """The verdict for a polynomial whose census matched no candidate group."""
+    entry = _entry(
+        "Galois group identified from the cycle-type census",
+        "unknown",
+        "computed: degree-partition census",
+        "no candidate matched; supply the group with group-check",
+    )
+    return Verdict(
+        Outcome.INCONCLUSIVE,
+        [entry],
+        ["inconclusive: no Galois-group candidate matched the census"],
+        conditional=True,
+        case={"polynomial": str(f), "characteristic": char},
+    )
+
+
 def _validate_char(char: int) -> None:
     if char == 2:
         raise ValueError("characteristic 2 is outside the scope of these analyses")
     if char < 0 or char == 1:
         raise ValueError("characteristic must be 0 or an odd prime")
-    if char > 0 and any(char % d == 0 for d in range(2, int(char**0.5) + 1)):
+    if char > 0 and not is_prime(char):
         raise ValueError(f"characteristic {char} is not prime")
 
 
@@ -224,15 +242,6 @@ class Recognition:
     kind: str
     label: str
     parameter: int = 0
-
-
-def _is_odd_prime_power(q: int) -> bool:
-    if q < 3 or q % 2 == 0:
-        return False
-    p = next((d for d in range(2, int(q**0.5) + 1) if q % d == 0), q)
-    while q % p == 0:
-        q //= p
-    return q == 1
 
 
 def recognize(group: PermGroup, n: int) -> Recognition:
@@ -260,7 +269,7 @@ def recognize(group: PermGroup, n: int) -> Recognition:
     if n == 15 and order == 2520 and trans >= 2:
         return Recognition("a7-deg15", "A7 (degree 15)", 7)
     q = n - 1
-    if _is_odd_prime_power(q) and q >= 5 and order == (q + 1) * q * (q - 1) // 2 and trans >= 2:
+    if is_odd_prime_power(q) and q >= 5 and order == (q + 1) * q * (q - 1) // 2 and trans >= 2:
         return Recognition("psl2-natural", f"PSL(2,{q}) (projective line)", q)
     return Recognition("generic", group.name or f"degree-{n} group")
 
@@ -299,9 +308,6 @@ class _Ctx:
             return True
         return is_perfect(self.group)
 
-    def _simplicity_is_cheap(self) -> bool:
-        return self.overrides.get("simple") is not None or simplicity_is_cheap(self.group)
-
     def no_proper_subgroup_of_index(self, m: int) -> TriState:
         """True here means NO proper subgroup of index m exists."""
         if m in self._index_cache:
@@ -311,9 +317,6 @@ class _Ctx:
         if rec is not None and m <= rec[0]:
             self.consumed.append((f"no subgroup of index {m}", rec[1]))
             result = True
-        elif m == 2 and self._simplicity_is_cheap() and self.simple() is True and self.order > 2:
-            # an index-2 subgroup would be normal
-            result = True
         else:
             ans, _cert, _method = has_proper_subgroup_of_index(self.group, m)
             result = (not ans) if ans in (True, False) else "unknown"
@@ -321,11 +324,10 @@ class _Ctx:
         return result
 
     def no_normal_subgroup_of_index_dividing(self, g: int) -> TriState:
-        if self._simplicity_is_cheap() and self.simple() is True:
+        if self.overrides.get("simple") is not None:
+            self.simple()  # record the cited fact
             # proper normal subgroups of a simple group: only the trivial one
-            if self.order <= g and g % self.order == 0:
-                return False
-            return True
+            return not (self.order <= g and g % self.order == 0)
         ans = has_normal_subgroup_of_index_dividing(self.group, g)
         return (not ans) if ans in (True, False) else "unknown"
 
@@ -542,20 +544,6 @@ def analyze_center(
 # -- refinements once the center is known rational -----------------------------------
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 @dataclass
 class _Survivor:
     algebra: str  # "Q" or "H"
@@ -642,7 +630,7 @@ def _refine_center_q(
                 f"order {order}",
             )
         )
-    primes = _prime_factors(order)
+    primes = list(factorize(order))
 
     # Q-matrix side: d > 1 dividing g
     if q_side_exclusion is not None:
@@ -863,28 +851,30 @@ def _analyze_group_case(
         return _rule_alternating(group, n, g, char, entries, caveats)
     if ident.kind in ("mathieu12", "mathieu11-deg12") and n == 12:
         return _rule_degree12_reduction(group, n, char, entries, caveats, ident)
-    if ident.kind == "mathieu11" and n == 11:
-        return _rule_mathieu11_deg11(group, n, g, char, entries, caveats)
     if ident.kind in ("mathieu22", "mathieu23", "mathieu24"):
         return _rule_mathieu_large(group, n, g, char, entries, caveats)
-    if ident.kind == "psl2-11-deg11":
-        return _rule_psl2_11_deg11(group, n, g, char, entries, caveats)
-    if ident.kind == "psl2-7-deg7":
-        return _rule_psl2_7_deg7(group, n, g, char, entries, caveats)
+    if ident.kind in _CHAR_P_QUATERNION_FACT:
+        if ident.kind == "psl2-11-deg11":
+            entries.append(
+                _psl2_criterion(
+                    11,
+                    "PSL(2,11) has no proper subgroup of index dividing 5",
+                    "covers every escape index for genus 5",
+                )
+            )
+        exclusion = None if char == 0 else fact(_CHAR_P_QUATERNION_FACT[ident.kind])
+        return _generic_rule(
+            group, n, g, char, entries, caveats, quaternion_exclusion=exclusion
+        )
     if ident.kind == "psl2-natural":
         return _rule_psl2_natural(group, n, g, char, entries, caveats, ident.parameter)
     return _generic_rule(group, n, g, char, entries, caveats)
 
 
-def _append_center_route(
-    ctx: _Ctx, group: PermGroup, n: int, char: int, entries: list[ChecklistEntry]
-) -> CenterAnalysis:
-    analysis = analyze_center(group, n, char, ctx=ctx)
-    entries.extend(analysis.entries)
-    for hyp, rec in ctx.consumed:
-        entries.append(_fact_entry(hyp, rec))
+def _flush_consumed(ctx: _Ctx, entries: list[ChecklistEntry]) -> None:
+    """Record the cited facts the context has consumed so far."""
+    entries.extend(_fact_entry(hyp, rec) for hyp, rec in ctx.consumed)
     ctx.consumed.clear()
-    return analysis
 
 
 def _generic_rule(
@@ -900,39 +890,30 @@ def _generic_rule(
 ) -> Verdict:
     """The theorem route driven purely by computed structure plus overrides."""
     ctx = ctx or _Ctx(group)
-    analysis = _append_center_route(ctx, group, n, char, entries)
+    analysis = analyze_center(group, n, char, ctx=ctx)
+    entries.extend(analysis.entries)
+    _flush_consumed(ctx, entries)
     if analysis.blocked is not None:
         return _inconclusive(entries, caveats, analysis.blocked)
-    if analysis.center_is_q is True:
-        survivors = _refine_center_q(
-            ctx, n, g, char, entries,
-            quaternion_exclusion=quaternion_exclusion,
-            q_side_exclusion=q_side_exclusion,
-        )
-        for hyp, rec in ctx.consumed:
-            entries.append(_fact_entry(hyp, rec))
-        ctx.consumed.clear()
-        outcome, chars = _conclude_from_survivors(survivors, [], char, entries, caveats)
-        return Verdict(outcome, entries, caveats, supersingular_chars=chars)
-    if (
+    # dichotomy: with a scalar commutant and a live escape, either a product
+    # decomposition or the center is Q; refine the second horn and combine.
+    # A proved center Q leaves no product dimension live.
+    dichotomy = (
         analysis.center_is_q == "unknown"
         and analysis.report.classification is CentralizerClass.SCALARS
-        and analysis.live_product_dims
-    ):
-        # dichotomy: either a product decomposition (live escape) or the
-        # center is Q; refine the second horn and combine
+        and bool(analysis.live_product_dims)
+    )
+    if analysis.center_is_q is True or dichotomy:
         survivors = _refine_center_q(
             ctx, n, g, char, entries,
             quaternion_exclusion=quaternion_exclusion,
             q_side_exclusion=q_side_exclusion,
         )
-        for hyp, rec in ctx.consumed:
-            entries.append(_fact_entry(hyp, rec))
-        ctx.consumed.clear()
+        _flush_consumed(ctx, entries)
         outcome, chars = _conclude_from_survivors(
             survivors, analysis.live_product_dims, char, entries, caveats
         )
-        if outcome is Outcome.END0_MATRIX_OVER_Q:
+        if dichotomy and outcome is Outcome.END0_MATRIX_OVER_Q:
             # the center might not be Q at all on this horn; stay honest
             return _inconclusive(
                 entries,
@@ -1010,49 +991,35 @@ def _rule_degree12_reduction(group, n, char, entries, caveats, ident) -> Verdict
     return _analyze_group_case(stab, 11, char, entries, caveats)
 
 
-def _rule_mathieu11_deg11(group, n, g, char, entries, caveats) -> Verdict:
-    exclusion = None if char == 0 else fact("mathieu-deg11-12-trivial-endo")
-    return _generic_rule(
-        group, n, g, char, entries, caveats, quaternion_exclusion=exclusion
-    )
+#: Families that run the generic rule as they are, with the cited fact that
+#: excludes the remaining quaternionic shapes in characteristic p > 0.
+_CHAR_P_QUATERNION_FACT = {
+    "mathieu11": "mathieu-deg11-12-trivial-endo",
+    "psl2-11-deg11": "deg11-supersingular-excluded",
+    "psl2-7-deg7": "deg7-psl2-not-supersingular",
+}
 
 
-def _rule_psl2_11_deg11(group, n, g, char, entries, caveats) -> Verdict:
-    crit = psl2_subgroup_criterion(11)
-    entries.append(
-        _entry(
-            "PSL(2,11) has no proper subgroup of index dividing 5",
-            "verified" if crit else "failed",
-            "computed: subgroup-order catalogue arithmetic; "
-            + fact("suzuki-psl2-subgroups").citation,
-            "covers every escape index for genus 5",
-        )
-    )
-    exclusion = None if char == 0 else fact("deg11-supersingular-excluded")
-    return _generic_rule(
-        group, n, g, char, entries, caveats, quaternion_exclusion=exclusion
-    )
-
-
-def _rule_psl2_7_deg7(group, n, g, char, entries, caveats) -> Verdict:
-    exclusion = None if char == 0 else fact("deg7-psl2-not-supersingular")
-    return _generic_rule(
-        group, n, g, char, entries, caveats, quaternion_exclusion=exclusion
+def _psl2_criterion(q: int, hypothesis: str, evidence: str) -> ChecklistEntry:
+    """The checklist entry for ``psl2_subgroup_criterion(q)``."""
+    return _entry(
+        hypothesis,
+        "verified" if psl2_subgroup_criterion(q) else "failed",
+        "computed: subgroup-order catalogue arithmetic; "
+        + fact("suzuki-psl2-subgroups").citation,
+        evidence,
     )
 
 
 def _rule_psl2_natural(group, n, g, char, entries, caveats, q: int) -> Verdict:
-    crit = psl2_subgroup_criterion(q)
     entries.append(
-        _entry(
+        _psl2_criterion(
+            q,
             f"PSL(2,{q}) has no proper subgroup of index dividing (q-1)/2 = {g}",
-            "verified" if crit else "failed",
-            "computed: subgroup-order catalogue arithmetic; "
-            + fact("suzuki-psl2-subgroups").citation,
             "every 2-power-adjusted escape index divides the genus",
         )
     )
-    if not crit:
+    if entries[-1].status == "failed":
         return _inconclusive(entries, caveats, "the subgroup-index criterion failed")
     ctx = _Ctx(group)
     report = ctx.centralizer()

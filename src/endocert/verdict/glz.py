@@ -14,20 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from ..arith import factorize
+
 IntMatrix = tuple[tuple[int, ...], ...]
-
-
-def _factor(m: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            out[d] = out.get(d, 0) + 1
-            m //= d
-        d += 1
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out
 
 
 def _phi_prime_power(p: int, a: int) -> int:
@@ -84,7 +73,7 @@ def matrix_order_is(a: IntMatrix, m: int) -> bool:
     ident = _mat_identity(len(a))
     if _mat_pow(a, m) != ident:
         return False
-    return all(_mat_pow(a, m // p) != ident for p in _factor(m))
+    return all(_mat_pow(a, m // p) != ident for p in factorize(m))
 
 
 def _block_diag(blocks: list[IntMatrix], n: int) -> IntMatrix:
@@ -123,7 +112,7 @@ def gl_has_element_of_order(n: int, m: int, with_witness: bool = True) -> tuple[
         raise ValueError("dimensions and orders must be positive")
     if m == 1:
         return True, OrderWitness(n, 1, _mat_identity(n)) if with_witness else None
-    factors = _factor(m)
+    factors = factorize(m)
     a0 = factors.pop(2, 0)
     total = sum(_phi_prime_power(p, a) for p, a in factors.items())
     if a0 >= 2:

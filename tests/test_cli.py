@@ -36,6 +36,18 @@ class TestAnalyze:
         assert code == EXIT_OK
         assert "INCONCLUSIVE" in out
 
+    def test_no_candidate_matched_is_conditional(self, capsys):
+        # the census candidates at degree 10 exclude S10 and A10
+        args = ("analyze", "--poly", "x^10 - x - 1")
+        code, out, _ = run(capsys, *args, "--format", "machine")
+        assert code == EXIT_OK
+        data = json.loads(out)
+        assert data["outcome"] == "INCONCLUSIVE"
+        assert data["conditional"] is True
+        assert data["checklist"][0]["status"] == "unknown"
+        code, out, _ = run(capsys, *args)
+        assert "status: conditional on the heuristic Galois-group identification" in out
+
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run(capsys, "analyze", "--poly", "x^^2")
         assert code == EXIT_USAGE
@@ -73,6 +85,14 @@ class TestGroupCheck:
             capsys, "group-check", "--degree", "5", "--generators", f"@{path}"
         )
         assert code == EXIT_OK and "END_IS_Z" in out
+
+    def test_unreadable_generators_file(self, capsys, tmp_path):
+        missing = tmp_path / "missing.txt"
+        code, out, err = run(
+            capsys, "group-check", "--degree", "5", "--generators", f"@{missing}"
+        )
+        assert code == EXIT_USAGE
+        assert out == "" and "cannot read generators" in err
 
     def test_degree_mismatch(self, capsys):
         code, _, err = run(

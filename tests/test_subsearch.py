@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from endocert.permgroup import (
+    Perm,
     PermGroup,
     has_proper_subgroup_of_index,
     min_proper_subgroup_index,
@@ -8,6 +10,12 @@ from endocert.permgroup import (
     families as fam,
 )
 from endocert.permgroup.chain import closure_elements
+
+
+@st.composite
+def two_generator_groups(draw):
+    n = draw(st.integers(5, 6))
+    return PermGroup(n, [Perm(tuple(draw(st.permutations(range(n))))) for _ in range(2)])
 
 
 class TestMinProperSubgroupIndex:
@@ -75,6 +83,15 @@ class TestHasProperSubgroupOfIndex:
         assert ans is True and method == "action-backtrack"
         sub = PermGroup(5, cert)
         assert sub.order() == 24
+
+    @settings(max_examples=15, deadline=None)
+    @given(two_generator_groups())
+    @example(fam.alternating_group(5))
+    @example(fam.alternating_group(6))
+    def test_shortcut_ladder_agrees_with_backtrack(self, group):
+        for r in range(2, 6):
+            answer = has_proper_subgroup_of_index(group, r)[0]
+            assert answer == has_proper_subgroup_of_index(group, r, shortcut=False)[0]
 
 
 class TestPsl2Criterion:
