@@ -6,6 +6,12 @@ primes, a census of the resulting degree partitions (Frobenius cycle
 types), and a goodness-of-fit match of the census against the exact
 cycle-type distributions of candidate groups.
 
+The distinct-degree factorization pays for one x^p mod f per prime and
+builds the Frobenius matrix Q of f mod p from it; each further power
+x^(p^d) is then one matrix-vector product.  The powers stay reduced modulo
+f while factors are divided out of it: the remaining part divides f, so its
+gcds with x^(p^d) - x are unchanged.
+
 Identification is evidence, never proof: matches carry a confidence below
 1 and downstream verdicts stay flagged as conditional on the group
 assignment.
@@ -15,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -225,29 +232,38 @@ def _pm_mul(a: list[int], b: list[int], p: int) -> list[int]:
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _pm_trim(out)
+                out[i + j] += x * y
+    return _pm_trim([v % p for v in out])
 
 
-def _pm_rem(a: list[int], b: list[int], p: int) -> list[int]:
-    a = list(a)
+def _pm_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b mod p; b trimmed and nonzero.
+
+    The leading coefficient of b is inverted once; ``top`` walks down the
+    dividend, and the entries below it are reduced mod p only at the end.
+    """
+    r = list(a)
     db = len(b) - 1
+    top = len(r) - 1
+    if top < db:
+        return [], _pm_trim(r)
     inv = pow(b[-1], p - 2, p)
-    while len(a) - 1 >= db:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = (a[-1] * inv) % p
-        for k in range(db + 1):
-            a[len(a) - 1 - db + k] = (a[len(a) - 1 - db + k] - c * b[k]) % p
-        a.pop()
-    return _pm_trim(a)
+    q = [0] * (top - db + 1)
+    low = b[:db]
+    while top >= db:
+        c = r[top] * inv % p
+        if c:
+            q[top - db] = c
+            base = top - db
+            r[base:top] = [x - c * y for x, y in zip(r[base:top], low)]
+        top -= 1
+    return _pm_trim(q), _pm_trim([x % p for x in r[:db]])
 
 
 def _pm_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     a, b = _pm_trim(list(a)), _pm_trim(list(b))
     while b:
-        a, b = b, _pm_rem(a, b, p)
+        a, b = b, _pm_divmod(a, b, p)[1]
     if a:
         inv = pow(a[-1], p - 2, p)
         a = [(x * inv) % p for x in a]
@@ -256,11 +272,11 @@ def _pm_gcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 def _pm_powmod(base: list[int], e: int, modpoly: list[int], p: int) -> list[int]:
     result = [1]
-    base = _pm_rem(base, modpoly, p)
+    base = _pm_divmod(base, modpoly, p)[1]
     while e:
         if e & 1:
-            result = _pm_rem(_pm_mul(result, base, p), modpoly, p)
-        base = _pm_rem(_pm_mul(base, base, p), modpoly, p)
+            result = _pm_divmod(_pm_mul(result, base, p), modpoly, p)[1]
+        base = _pm_divmod(_pm_mul(base, base, p), modpoly, p)[1]
         e >>= 1
     return result
 
@@ -268,10 +284,21 @@ def _pm_powmod(base: list[int], e: int, modpoly: list[int], p: int) -> list[int]
 def degree_pattern_mod_p(f: IntPoly, p: int) -> Optional[tuple[int, ...]]:
     """Multiset of irreducible-factor degrees of f mod p, descending.
 
-    Distinct-degree factorization only (the gcd with the x^(p^d) - x
-    ladder); no equal-degree splitting is ever needed because only the
-    partition matters.  Returns None for a bad prime: p even, p dividing
-    the leading coefficient, or f mod p not squarefree.
+    Distinct-degree factorization only: the product of the factors of
+    degree d is gcd(work, x^(p^d) - x), where ``work`` is what remains of
+    f mod p after the factors of degree < d are divided out.  No
+    equal-degree splitting is needed because only the partition matters.
+
+    The powers x^(p^d) come from the Frobenius (Berlekamp) matrix Q of
+    f mod p, whose row i is x^(p*i) mod f: x^p mod f is computed once by
+    square-and-multiply, and then each next power is h(x)^p = sum_i h_i Q_i,
+    one n x n matrix-vector product (Cohen, GTM 138, section 3.4; von zur
+    Gathen-Gerhard, *Modern Computer Algebra*, ch. 14).  The powers stay
+    reduced modulo f itself, never modulo ``work``: ``work`` divides f, so
+    h is congruent to x^(p^d) modulo ``work`` and every gcd is unchanged.
+
+    Returns None for a bad prime: p dividing the leading coefficient, or
+    f mod p not squarefree.  Raises ValueError unless p is an odd prime.
     """
     if p < 3 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
@@ -281,42 +308,29 @@ def degree_pattern_mod_p(f: IntPoly, p: int) -> Optional[tuple[int, ...]]:
     deriv = _pm_trim([(i * fp[i]) % p for i in range(1, len(fp))])
     if len(_pm_gcd(fp, deriv, p)) - 1 != 0:
         return None
+    n = len(fp) - 1
+    xp = _pm_powmod([0, 1], p, fp, p)
+    rows = [[1], xp]
+    while len(rows) < n:
+        rows.append(_pm_divmod(_pm_mul(rows[-1], xp, p), fp, p)[1])
+    # columns of Q padded to length n, so each entry of h^p is one dot product
+    cols = list(zip(*(row + [0] * (n - len(row)) for row in rows[:n])))
     degrees: list[int] = []
-    work = list(fp)
-    h = [0, 1]  # x
-    d = 0
-    while len(work) - 1 > 0:
-        d += 1
-        if 2 * d > len(work) - 1:
-            degrees.extend([len(work) - 1])
-            break
-        h = _pm_powmod(h, p, work, p)
-        h_minus_x = list(h) + [0] * max(0, 2 - len(h))
+    work, h, d = fp, xp, 1
+    while 2 * d <= len(work) - 1:
+        h_minus_x = h + [0] * (2 - len(h))
         h_minus_x[1] = (h_minus_x[1] - 1) % p
         g = _pm_gcd(work, _pm_trim(h_minus_x), p)
         deg_g = len(g) - 1
         if deg_g > 0:
             degrees.extend([d] * (deg_g // d))
-            work = _pm_quo(work, g, p)
-            h = _pm_rem(h, work, p) if len(work) - 1 > 0 else [0]
+            work = _pm_divmod(work, g, p)[0]
+        d += 1
+        h = _pm_trim([sum(map(operator.mul, h, col)) % p for col in cols])
+    if len(work) > 1:
+        # no factor of degree < d is left and 2d exceeds the degree
+        degrees.append(len(work) - 1)
     return tuple(sorted(degrees, reverse=True))
-
-
-def _pm_quo(a: list[int], b: list[int], p: int) -> list[int]:
-    a = list(a)
-    db = len(b) - 1
-    inv = pow(b[-1], p - 2, p)
-    quo = [0] * (len(a) - db)
-    while len(a) - 1 >= db and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = (a[-1] * inv) % p
-        quo[len(a) - 1 - db] = c
-        for k in range(db + 1):
-            a[len(a) - 1 - db + k] = (a[len(a) - 1 - db + k] - c * b[k]) % p
-        a.pop()
-    return _pm_trim(quo)
 
 
 def odd_primes() -> Iterator[int]:

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the production code paths it checks:
 plain closure enumeration instead of stabilizer chains, dense scalar
 elimination instead of bit-packed rows, exhaustive matrix enumeration
-instead of Sylvester kernels, and Fraction-based Euclid instead of the
-subresultant gcd.
+instead of Sylvester kernels, Fraction-based Euclid instead of the
+subresultant gcd, and a square-and-multiply ladder for every x^(p^d)
+instead of the Frobenius matrix.
 """
 
 from __future__ import annotations
@@ -167,3 +168,81 @@ def classify_commutative_gf2(elements, n):
         if x != zero and not is_invertible_gf2(x, n):
             field = False
     return field, nilpotent, idempotent
+
+
+def _gfp_trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _gfp_mul(a, b, p):
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _gfp_trim([c % p for c in out])
+
+
+def _gfp_divmod(a, b, p):
+    """Schoolbook long division of a by b (ascending coefficients) mod p."""
+    rem = list(a)
+    quo = [0] * max(len(a) - len(b) + 1, 0)
+    inv = pow(b[-1], -1, p)
+    for shift in range(len(a) - len(b), -1, -1):
+        c = rem[shift + len(b) - 1] * inv % p
+        quo[shift] = c
+        for k, y in enumerate(b):
+            rem[shift + k] = (rem[shift + k] - c * y) % p
+    return _gfp_trim(quo), _gfp_trim(rem[: len(b) - 1])
+
+
+def _gfp_gcd(a, b, p):
+    while b:
+        a, b = b, _gfp_divmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [x * inv % p for x in a]
+
+
+def _gfp_powmod(base, e, mod, p):
+    result, base = [1], _gfp_divmod(base, mod, p)[1]
+    while e:
+        if e & 1:
+            result = _gfp_divmod(_gfp_mul(result, base, p), mod, p)[1]
+        base = _gfp_divmod(_gfp_mul(base, base, p), mod, p)[1]
+        e >>= 1
+    return result
+
+
+def ddf_pattern_mod_p(coeffs, p):
+    """Irreducible-factor degrees of an integer polynomial mod an odd prime p.
+
+    ``coeffs`` ascend and end in a nonzero leading coefficient.  Returns the
+    degrees in descending order, or None when p divides the leading
+    coefficient or f mod p has a repeated factor.  Distinct-degree
+    factorization with a fresh square-and-multiply ladder at every step:
+    h = h^p mod work, then the degree-d factors are gcd(work, h - x).  Once
+    2d exceeds the degree of work, what is left is irreducible.
+    """
+    f = _gfp_trim([c % p for c in coeffs])
+    if len(f) != len(coeffs):
+        return None
+    deriv = _gfp_trim([i * c % p for i, c in enumerate(f)][1:])
+    if len(_gfp_gcd(f, deriv, p)) > 1:
+        return None
+    degrees = []
+    work, h, d = f, [0, 1], 0
+    while len(work) > 1:
+        d += 1
+        if 2 * d > len(work) - 1:
+            degrees.append(len(work) - 1)
+            break
+        h = _gfp_powmod(h, p, work, p)
+        diff = h + [0] * (2 - len(h))
+        diff[1] = (diff[1] - 1) % p
+        g = _gfp_gcd(work, _gfp_trim(diff), p)
+        if len(g) > 1:
+            degrees += [d] * ((len(g) - 1) // d)
+            work = _gfp_divmod(work, g, p)[0]
+            h = _gfp_divmod(h, work, p)[1]
+    return tuple(sorted(degrees, reverse=True))

@@ -1,6 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+from endocert import cli
 from endocert.cli import EXIT_OK, EXIT_USAGE, main
+from endocert.permgroup import structure
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -148,3 +156,42 @@ class TestSelftest:
         assert code == EXIT_OK
         assert "FAIL" not in out
         assert "12/12 fixture cases passed" in out
+
+
+class TestProcessState:
+    def test_seed_applies_to_one_call_only(self, capsys, monkeypatch):
+        seen = []
+        real = cli._cmd_group_check
+
+        def recording(args):
+            seen.append(structure._RANDOM_SEED)
+            return real(args)
+
+        monkeypatch.setattr(cli, "_cmd_group_check", recording)
+        args = ("group-check", "--degree", "5", "--generators", "A5")
+        default_out = run(capsys, *args)[1]
+        assert run(capsys, *args, "--seed", "5")[1] == default_out
+        assert structure._RANDOM_SEED == 0x5EED
+        run(capsys, *args, "--seed", "0")
+        assert run(capsys, *args)[1] == default_out
+        assert seen == [0x5EED, 5, 0, 0x5EED]
+        assert structure._RANDOM_SEED == 0x5EED
+
+
+def test_reader_closing_early_is_quiet():
+    # the read end is closed before the command writes, so every write
+    # to stdout meets a broken pipe
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = "import sys; from endocert.cli import main; sys.exit(main(sys.argv[1:]))"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "group-check", "--degree", "5",
+             "--generators", "A5", "--dump-action"],
+            stdout=write_fd, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_fd)
+    assert proc.stderr == b""
+    assert proc.returncode == EXIT_OK

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from endocert.polygal import (
     joint_census,
     standard_candidates,
 )
-from oracles import rational_poly_gcd_degree
+from oracles import ddf_pattern_mod_p, rational_poly_gcd_degree
 
 
 class TestIntPoly:
@@ -115,6 +116,51 @@ class TestDegreePattern:
             degree_pattern_mod_p(IntPoly.parse("x^2 + 1"), 2)
         with pytest.raises(ValueError):
             degree_pattern_mod_p(IntPoly.parse("x^2 + 1"), 9)
+
+
+def _first_odd_primes(count):
+    flags = bytearray([1]) * 1300
+    flags[0] = flags[1] = 0
+    for i in range(2, 37):
+        if flags[i]:
+            flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
+    primes = [n for n in range(3, len(flags)) if flags[n]]
+    assert len(primes) >= count
+    return primes[:count]
+
+
+def _dense(degree, leading, seed):
+    rng = random.Random(seed)
+    return IntPoly(tuple(rng.randint(-99, 99) for _ in range(degree)) + (leading,))
+
+
+_ORACLE_POLYS = {
+    **{f"x^{n}-x-1": IntPoly.parse(f"x^{n} - x - 1") for n in (5, 7, 8, 9, 12, 16, 20, 24)},
+    "trinks": IntPoly.parse("x^7 - 7*x + 3"),
+    **{
+        f"dense{n}": _dense(n, lead, seed)
+        for n, lead, seed in ((2, 6, 1), (6, 3, 2), (11, -5, 3), (17, 2, 4), (24, 6, 5))
+    },
+}
+
+
+class TestDegreePatternOracle:
+    """The Frobenius-matrix DDF against a square-and-multiply ladder."""
+
+    @pytest.mark.parametrize("f", list(_ORACLE_POLYS.values()), ids=list(_ORACLE_POLYS))
+    def test_agrees_on_first_200_odd_primes(self, f):
+        primes = _first_odd_primes(200)
+        mine = [degree_pattern_mod_p(f, p) for p in primes]
+        assert mine == [ddf_pattern_mod_p(f.coeffs, p) for p in primes]
+        assert all(pat is None for p, pat in zip(primes, mine) if f.leading() % p == 0)
+
+    def test_bad_primes_are_covered(self):
+        # Trinks' discriminant is 3^8 7^8; a leading coefficient 6, 3 or -5
+        # makes 3 or 5 a bad prime
+        primes = _first_odd_primes(200)
+        for name in ("trinks", "dense2", "dense6", "dense11", "dense24"):
+            f = _ORACLE_POLYS[name]
+            assert any(ddf_pattern_mod_p(f.coeffs, p) is None for p in primes), name
 
 
 class TestCensus:
