@@ -9,6 +9,8 @@ Commands:
 
 Everything is configured by flags (no environment variables) so runs are
 reproducible; machine reports are byte-stable for a fixed command line.
+Each call builds its groups afresh, so repeated calls in one process give
+the same reports after the same work.
 
 Exit codes: 0 any verdict (including INCONCLUSIVE); 2 input/usage errors;
 3 internal inconsistency (a theorem cross-check tripped, i.e. a bug);
@@ -28,7 +30,6 @@ from .errors import InternalInconsistencyError, ParseError
 from .fflin import format_matrix
 from .permgroup import Perm, PermGroup, parse_generators
 from .permgroup import families as fam
-from .permgroup import structure
 from .polygal import DEFAULT_PRIME_BUDGET, IntPoly, census, identify, standard_candidates
 from .repmod import build_heart, heart_centralizer
 from .verdict import (
@@ -63,8 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="report rendering")
         p.add_argument("--prime-budget", type=int, default=DEFAULT_PRIME_BUDGET,
                        help="good odd primes sampled by the census")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed for any randomized fallback (fixed default)")
 
     p_an = sub.add_parser("analyze", help="analyze a polynomial's jacobian")
     add_common(p_an)
@@ -271,11 +270,6 @@ def _cmd_selftest(args) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    # the only randomized component is the large-order simplicity fallback;
-    # --seed pins its stream for this call only
-    saved_seed = structure._RANDOM_SEED
-    if getattr(args, "seed", None) is not None:
-        structure._RANDOM_SEED = args.seed
     handlers = {
         "analyze": _cmd_analyze,
         "group-check": _cmd_group_check,
@@ -303,8 +297,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except Exception as exc:  # pragma: no cover
         print(f"unexpected error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    finally:
-        structure._RANDOM_SEED = saved_seed
 
 
 if __name__ == "__main__":

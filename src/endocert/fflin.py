@@ -19,7 +19,6 @@ from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from .arith import is_prime
-from .errors import ParseError
 
 #: Full multiplicative-closure verification is quadratic in the basis; above
 #: this dimension only a deterministic sample of products is checked.
@@ -201,25 +200,6 @@ def format_matrix(m: MatF) -> str:
     for i in range(m.nrows):
         lines.append(" ".join(str(m.entry(i, j)) for j in range(m.ncols)))
     return "\n".join(lines)
-
-
-def parse_matrix(text: str) -> MatF:
-    lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
-    if not lines:
-        raise ParseError("empty matrix text")
-    try:
-        mod, nrows, ncols = (int(t) for t in lines[0].split())
-    except ValueError as exc:
-        raise ParseError(f"bad matrix header {lines[0]!r}") from exc
-    if len(lines) != nrows + 1:
-        raise ParseError(f"expected {nrows} rows, found {len(lines) - 1}")
-    entries = []
-    for ln in lines[1:]:
-        row = [int(t) for t in ln.split()]
-        if len(row) != ncols:
-            raise ParseError(f"row {ln!r} does not have {ncols} entries")
-        entries.append(row)
-    return MatF.from_entries(mod, entries)
 
 
 # -- elimination -----------------------------------------------------------------

@@ -4,12 +4,13 @@ Degrees follow the 0-based point convention.  The Mathieu generator sets
 are the classical published ones; their orders and transitivity degrees
 are pinned by tests against the sharp k-transitivity order identities
 (e.g. |M12| = 12*11*10*9*8), so a transcription error cannot pass.
+Every call builds a new group, so nothing one caller computes on it (its
+chain, its simplicity answer) reaches another.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cache
 from typing import Optional, Sequence
 
 from ..arith import is_prime
@@ -117,12 +118,10 @@ class SmallField:
 # -- classical families ------------------------------------------------------
 
 
-@cache
 def cyclic_group(n: int) -> PermGroup:
     return PermGroup(n, [Perm.from_cycles(n, [list(range(n))])], name=f"C{n}")
 
 
-@cache
 def dihedral_group(n: int) -> PermGroup:
     """Dihedral group of order 2n on n points."""
     rot = Perm.from_cycles(n, [list(range(n))])
@@ -130,7 +129,6 @@ def dihedral_group(n: int) -> PermGroup:
     return PermGroup(n, [rot, refl], name=f"D{n}")
 
 
-@cache
 def symmetric_group(n: int) -> PermGroup:
     if n < 2:
         return PermGroup(max(n, 1), [], name=f"S{n}")
@@ -140,7 +138,6 @@ def symmetric_group(n: int) -> PermGroup:
     return PermGroup(n, gens, name=f"S{n}")
 
 
-@cache
 def alternating_group(n: int) -> PermGroup:
     if n < 3:
         return PermGroup(max(n, 1), [], name=f"A{n}")
@@ -159,28 +156,24 @@ def affine_group_of_prime(p: int, multiplier: int) -> PermGroup:
     return PermGroup(p, [translate, scale], name=f"AGL1({p}) subgroup")
 
 
-@cache
 def frobenius_group_20() -> PermGroup:
     g = affine_group_of_prime(5, 2)
     g.name = "F20"
     return g
 
 
-@cache
 def frobenius_group_21() -> PermGroup:
     g = affine_group_of_prime(7, 2)
     g.name = "F21"
     return g
 
 
-@cache
 def frobenius_group_42() -> PermGroup:
     g = affine_group_of_prime(7, 3)
     g.name = "F42"
     return g
 
 
-@cache
 def psl2(q: int) -> PermGroup:
     """PSL(2, q) acting on the projective line, infinity as point q.
 
@@ -213,7 +206,6 @@ def psl2(q: int) -> PermGroup:
 # -- Mathieu groups (classical generator sets) -------------------------------
 
 
-@cache
 def mathieu_group(n: int) -> PermGroup:
     if n == 11:
         texts = [
@@ -319,7 +311,6 @@ def coset_action(group: PermGroup, subgroup_gens: Sequence[Perm]) -> PermGroup:
     return PermGroup(r, action_gens, name=group.name)
 
 
-@cache
 def psl2_11_on_11_points() -> PermGroup:
     """The exceptional 2-transitive degree-11 action of PSL(2, 11).
 
@@ -335,7 +326,6 @@ def psl2_11_on_11_points() -> PermGroup:
     return action
 
 
-@cache
 def a7_on_15_points() -> PermGroup:
     """The 2-transitive degree-15 action of A7.
 
@@ -350,7 +340,6 @@ def a7_on_15_points() -> PermGroup:
     return action
 
 
-@cache
 def psl2_7_on_7_points() -> PermGroup:
     """The 2-transitive degree-7 action of PSL(2, 7) ~ PSL(3, 2).
 
@@ -368,7 +357,6 @@ def psl2_7_on_7_points() -> PermGroup:
 # -- regular actions of matrix groups ----------------------------------------
 
 
-@cache
 def gl2_regular(q: int) -> PermGroup:
     """GL(2, q) as a regular permutation group on its own elements."""
     field = SmallField(q)

@@ -23,8 +23,9 @@ class PermGroup:
 
     Immutable after construction; the stabilizer chain, order and orbit
     data are computed on first use and cached, and ``_simple`` caches the
-    answer of ``structure.is_simple`` (None until it is asked).  Safe to
-    share across threads once built.
+    answer of ``structure.is_simple`` (None until it is asked).  Instances
+    are per call: the family constructors and the CLI build a new one each
+    time, so these caches never outlive the analysis that filled them.
     """
 
     def __init__(
@@ -101,9 +102,6 @@ class PermGroup:
                         frontier.append(q)
             out.append(sorted(orbit))
         return out
-
-    def is_transitive(self) -> bool:
-        return len(self.orbits()) == 1 if self.degree > 0 else True
 
     def transitivity_degree(self) -> int:
         """Largest k such that the action is transitive on k-tuples.

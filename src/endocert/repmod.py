@@ -136,18 +136,3 @@ def heart_centralizer(group: PermGroup) -> CentralizerReport:
         klemm_hypothesis=hypothesis,
     )
 
-
-def action_is_faithful(group: PermGroup) -> bool:
-    """True when distinct group elements act by distinct matrices.
-
-    For n != 4 the heart action of the full symmetric group is injective,
-    so every subgroup acts faithfully (tests reverify this on small Sym(n)
-    by exhaustion).  For n = 4 the kernel inside Sym(4) is the Klein
-    four-group, so the group is checked element by element.
-    """
-    if group.degree != 4:
-        return True
-    heart = build_heart(4)
-    return all(
-        act(heart, g).is_identity() == g.is_identity() for g in group.elements()
-    )

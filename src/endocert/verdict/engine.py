@@ -25,10 +25,10 @@ from ..permgroup import (
     PermGroup,
     has_normal_subgroup_of_index_dividing,
     has_proper_subgroup_of_index,
-    is_perfect,
     is_simple,
     psl2_subgroup_criterion,
 )
+from ..permgroup.families import MATHIEU_ORDERS
 from ..permgroup.structure import TriState
 from ..polygal import (
     DEFAULT_PRIME_BUDGET,
@@ -257,8 +257,7 @@ def recognize(group: PermGroup, n: int) -> Recognition:
         return Recognition("symmetric", f"S{n}")
     if order == math.factorial(n) // 2 and all(g.is_even() for g in group.generators):
         return Recognition("alternating", f"A{n}", n)
-    mathieu_orders = {11: 7920, 12: 95040, 22: 443520, 23: 10200960, 24: 244823040}
-    if n in mathieu_orders and order == mathieu_orders[n] and trans >= 3:
+    if n in MATHIEU_ORDERS and order == MATHIEU_ORDERS[n] and trans >= 3:
         return Recognition(f"mathieu{n}", f"M{n}", n)
     if n == 12 and order == 7920 and trans >= 3:
         return Recognition("mathieu11-deg12", "M11 (degree 12)", 11)
@@ -278,15 +277,17 @@ def recognize(group: PermGroup, n: int) -> Recognition:
 
 
 class _Ctx:
-    """Memoized hypothesis computations plus optional fact overrides."""
+    """Memoized hypothesis computations on one group plus cited-fact overrides.
 
-    def __init__(self, group: PermGroup, fact_overrides: Optional[dict] = None):
+    One is built per analysed group and handed to every rule; a rule that
+    relies on cited facts sets them in ``overrides``.
+    """
+
+    def __init__(self, group: PermGroup):
         self.group = group
-        self.order = group.order()
         self._index_cache: dict[int, TriState] = {}
-        # fact_overrides: {"no_index_upto": (bound, FactRecord),
-        #                  "simple": FactRecord}
-        self.overrides = fact_overrides or {}
+        # {"no_index_upto": (bound, FactRecord), "simple": FactRecord}
+        self.overrides: dict = {}
         self.consumed: list[tuple[str, FactRecord]] = []
         self._centralizer: Optional[CentralizerReport] = None
 
@@ -301,12 +302,6 @@ class _Ctx:
             self.consumed.append(("simple", rec))
             return True
         return is_simple(self.group)
-
-    def perfect(self) -> bool:
-        if self.overrides.get("simple") is not None:
-            # simple nonabelian implies perfect
-            return True
-        return is_perfect(self.group)
 
     def no_proper_subgroup_of_index(self, m: int) -> TriState:
         """True here means NO proper subgroup of index m exists."""
@@ -327,7 +322,8 @@ class _Ctx:
         if self.overrides.get("simple") is not None:
             self.simple()  # record the cited fact
             # proper normal subgroups of a simple group: only the trivial one
-            return not (self.order <= g and g % self.order == 0)
+            order = self.group.order()
+            return not (order <= g and g % order == 0)
         ans = has_normal_subgroup_of_index_dividing(self.group, g)
         return (not ans) if ans in (True, False) else "unknown"
 
@@ -371,13 +367,7 @@ class CenterAnalysis:
     blocked: Optional[str] = None  # first failed/unknown hypothesis, if any
 
 
-def analyze_center(
-    group: PermGroup,
-    n: int,
-    char: int,
-    ctx: Optional[_Ctx] = None,
-    ell: int = 2,
-) -> CenterAnalysis:
+def analyze_center(group: PermGroup) -> CenterAnalysis:
     """Centralizer-driven analysis of the center of the endomorphism algebra.
 
     Route 1 (field commutant): if no proper subgroup realizes the
@@ -385,14 +375,33 @@ def analyze_center(
     center of the endomorphism algebra is a field.  Route 2 (scalar
     commutant): with no index-2 subgroup and no normal subgroup of index
     dividing the genus, the center is Q itself unless an r > 2 escape is
-    live, in which case a product decomposition remains possible.
+    live, in which case a product decomposition remains possible.  The
+    genus is read off the group's degree n as (n - 1) // 2.
     """
-    if ell != 2:
-        raise ValueError("only the mod-2 module is wired into this engine")
+    return _center_analysis(_Ctx(group))
+
+
+def _scan_escapes(ctx: _Ctx, escapes: dict[int, list[int]]) -> tuple[set[int], Optional[int]]:
+    """Ask about each escape index m, ascending: (live r values, first undecided m).
+
+    An m realized by a proper subgroup makes its r values live; the scan
+    stops at the first m the search cannot decide.
+    """
+    live_rs: set[int] = set()
+    for m in sorted(escapes):
+        ans = ctx.no_proper_subgroup_of_index(m)
+        if ans == "unknown":
+            return live_rs, m
+        if ans is False:
+            live_rs.update(escapes[m])
+    return live_rs, None
+
+
+def _center_analysis(ctx: _Ctx) -> CenterAnalysis:
+    n = ctx.group.degree
     if n == 4:
         raise ValueError("degree 4 is refused: the heart action is not faithful")
     g = (n - 1) // 2
-    ctx = ctx or _Ctx(group)
     report = ctx.centralizer()
     entries: list[ChecklistEntry] = []
     if report.classification is CentralizerClass.SCALARS:
@@ -423,18 +432,9 @@ def analyze_center(
     # Route 1: field commutant forces the center to be a field unless an
     # escape index is realized by a proper subgroup.
     escapes = _escape_indices(g, min_r=2)
-    live_rs: set[int] = set()
-    blocked = None
-    for m in sorted(escapes):
-        ans = ctx.no_proper_subgroup_of_index(m)
-        if ans is True:
-            continue
-        if ans is False:
-            live_rs.update(escapes[m])
-        else:
-            blocked = f"subgroup of index {m} undecided"
-            break
-    if blocked is not None:
+    live_rs, undecided = _scan_escapes(ctx, escapes)
+    if undecided is not None:
+        blocked = f"subgroup of index {undecided} undecided"
         entries.append(
             _entry(
                 "no proper subgroup realizes an escape index r/2^j with r dividing the genus",
@@ -494,20 +494,8 @@ def analyze_center(
                 )
             )
         if no_idx2 is True and no_norm is True:
-            big_escapes = _escape_indices(g, min_r=3)
-            live2: set[int] = set()
-            undecided = None
-            for m in sorted(big_escapes):
-                if m == 2:
-                    continue  # excluded by the verified index-2 condition
-                ans = ctx.no_proper_subgroup_of_index(m)
-                if ans is True:
-                    continue
-                if ans is False:
-                    live2.update(big_escapes[m])
-                else:
-                    undecided = m
-                    break
+            # index 2 is already decided (absent), so asking it again is free
+            live2, undecided = _scan_escapes(ctx, _escape_indices(g, min_r=3))
             if undecided is not None:
                 center_is_q = "unknown"
                 entries.append(
@@ -600,8 +588,6 @@ def _hp_units_solvable_entries() -> list[ChecklistEntry]:
 
 def _refine_center_q(
     ctx: _Ctx,
-    n: int,
-    g: int,
     char: int,
     entries: list[ChecklistEntry],
     quaternion_exclusion: Optional[FactRecord] = None,
@@ -615,7 +601,8 @@ def _refine_center_q(
     the parity of factor dimensions, ramification confinement, unit-group
     structure, and finally the supplied cited fact for whatever remains.
     """
-    order = ctx.order
+    order = ctx.group.order()
+    g = (ctx.group.degree - 1) // 2
     survivors: list[_Survivor] = []
     simple = ctx.simple()
     quasi_simple = simple is True  # trivial center throughout this engine
@@ -804,7 +791,7 @@ def analyze_jacobian(case: CaseInput) -> Verdict:
                 "the census identification reads the polynomial over the integers; "
                 "for a positive-characteristic base field supply the group explicitly"
             )
-    verdict = _analyze_group_case(case.group, n, case.char, entries, caveats)
+    verdict = _analyze_group_case(case.group, case.char, entries, caveats)
     verdict.conditional = case.conditional
     verdict.case = case.describe()
     return verdict
@@ -817,12 +804,11 @@ def _inconclusive(entries, caveats, reason: str) -> Verdict:
 
 def _analyze_group_case(
     group: PermGroup,
-    n: int,
     char: int,
     entries: list[ChecklistEntry],
     caveats: list[str],
 ) -> Verdict:
-    g = (n - 1) // 2
+    n = group.degree
     trans = group.transitivity_degree()
     ident = recognize(group, n)
     # the projective-line route needs only double transitivity even for even n
@@ -847,12 +833,13 @@ def _analyze_group_case(
     if not trans_ok:
         return _inconclusive(entries, caveats, "the transitivity hypothesis failed")
 
+    ctx = _Ctx(group)
     if ident.kind == "alternating" and n >= 5:
-        return _rule_alternating(group, n, g, char, entries, caveats)
+        return _rule_alternating(ctx, char, entries, caveats)
     if ident.kind in ("mathieu12", "mathieu11-deg12") and n == 12:
-        return _rule_degree12_reduction(group, n, char, entries, caveats, ident)
+        return _rule_degree12_reduction(ctx, char, entries, caveats, ident)
     if ident.kind in ("mathieu22", "mathieu23", "mathieu24"):
-        return _rule_mathieu_large(group, n, g, char, entries, caveats)
+        return _rule_mathieu_large(ctx, char, entries, caveats)
     if ident.kind in _CHAR_P_QUATERNION_FACT:
         if ident.kind == "psl2-11-deg11":
             entries.append(
@@ -863,12 +850,10 @@ def _analyze_group_case(
                 )
             )
         exclusion = None if char == 0 else fact(_CHAR_P_QUATERNION_FACT[ident.kind])
-        return _generic_rule(
-            group, n, g, char, entries, caveats, quaternion_exclusion=exclusion
-        )
+        return _generic_rule(ctx, char, entries, caveats, quaternion_exclusion=exclusion)
     if ident.kind == "psl2-natural":
-        return _rule_psl2_natural(group, n, g, char, entries, caveats, ident.parameter)
-    return _generic_rule(group, n, g, char, entries, caveats)
+        return _rule_psl2_natural(ctx, char, entries, caveats, ident.parameter)
+    return _generic_rule(ctx, char, entries, caveats)
 
 
 def _flush_consumed(ctx: _Ctx, entries: list[ChecklistEntry]) -> None:
@@ -878,19 +863,15 @@ def _flush_consumed(ctx: _Ctx, entries: list[ChecklistEntry]) -> None:
 
 
 def _generic_rule(
-    group: PermGroup,
-    n: int,
-    g: int,
+    ctx: _Ctx,
     char: int,
     entries: list[ChecklistEntry],
     caveats: list[str],
-    ctx: Optional[_Ctx] = None,
     quaternion_exclusion: Optional[FactRecord] = None,
     q_side_exclusion: Optional[FactRecord] = None,
 ) -> Verdict:
     """The theorem route driven purely by computed structure plus overrides."""
-    ctx = ctx or _Ctx(group)
-    analysis = analyze_center(group, n, char, ctx=ctx)
+    analysis = _center_analysis(ctx)
     entries.extend(analysis.entries)
     _flush_consumed(ctx, entries)
     if analysis.blocked is not None:
@@ -905,7 +886,7 @@ def _generic_rule(
     )
     if analysis.center_is_q is True or dichotomy:
         survivors = _refine_center_q(
-            ctx, n, g, char, entries,
+            ctx, char, entries,
             quaternion_exclusion=quaternion_exclusion,
             q_side_exclusion=q_side_exclusion,
         )
@@ -939,11 +920,12 @@ def _generic_rule(
 # -- family rules -------------------------------------------------------------------
 
 
-def _rule_alternating(group, n, g, char, entries, caveats) -> Verdict:
+def _rule_alternating(ctx: _Ctx, char, entries, caveats) -> Verdict:
+    n = ctx.group.degree
     if char == 3 and n in (5, 6):
         # the published alternating-group result needs n >= 7 in char 3;
         # run the exact dichotomy instead
-        verdict = _generic_rule(group, n, g, char, entries, caveats)
+        verdict = _generic_rule(ctx, char, entries, caveats)
         if verdict.outcome is Outcome.SUPERSINGULAR_POSSIBLE:
             verdict.checklist.append(
                 _fact_entry(
@@ -952,7 +934,7 @@ def _rule_alternating(group, n, g, char, entries, caveats) -> Verdict:
                 )
             )
         return verdict
-    report = heart_centralizer(group)
+    report = ctx.centralizer()
     if report.classification is not CentralizerClass.SCALARS:
         raise InternalInconsistencyError("alternating heart centralizer not scalar")
     entries.append(
@@ -973,9 +955,9 @@ def _rule_alternating(group, n, g, char, entries, caveats) -> Verdict:
     return Verdict(Outcome.END_IS_Z, entries, caveats)
 
 
-def _rule_degree12_reduction(group, n, char, entries, caveats, ident) -> Verdict:
+def _rule_degree12_reduction(ctx: _Ctx, char, entries, caveats, ident) -> Verdict:
     """Degree 12: pass to the stabilizer of a root acting on the rest."""
-    stab = group.point_stabilizer(0).restriction(range(1, 12))
+    stab = ctx.group.point_stabilizer(0).restriction(range(1, 12))
     stab.name = f"root stabilizer in {ident.label}"
     entries.append(
         _entry(
@@ -988,7 +970,7 @@ def _rule_degree12_reduction(group, n, char, entries, caveats, ident) -> Verdict
             f"{stab.transitivity_degree()} on 11 points",
         )
     )
-    return _analyze_group_case(stab, 11, char, entries, caveats)
+    return _analyze_group_case(stab, char, entries, caveats)
 
 
 #: Families that run the generic rule as they are, with the cited fact that
@@ -1011,7 +993,8 @@ def _psl2_criterion(q: int, hypothesis: str, evidence: str) -> ChecklistEntry:
     )
 
 
-def _rule_psl2_natural(group, n, g, char, entries, caveats, q: int) -> Verdict:
+def _rule_psl2_natural(ctx: _Ctx, char, entries, caveats, q: int) -> Verdict:
+    g = (ctx.group.degree - 1) // 2
     entries.append(
         _psl2_criterion(
             q,
@@ -1021,7 +1004,6 @@ def _rule_psl2_natural(group, n, g, char, entries, caveats, q: int) -> Verdict:
     )
     if entries[-1].status == "failed":
         return _inconclusive(entries, caveats, "the subgroup-index criterion failed")
-    ctx = _Ctx(group)
     report = ctx.centralizer()
     if q % 8 in (3, 5):
         consistent = (
@@ -1058,16 +1040,14 @@ def _rule_psl2_natural(group, n, g, char, entries, caveats, q: int) -> Verdict:
             f"classification {report.classification.value}, dimension {report.dim}",
         )
     )
-    return _generic_rule(group, n, g, char, entries, caveats, ctx=ctx)
+    return _generic_rule(ctx, char, entries, caveats)
 
 
-def _rule_mathieu_large(group, n, g, char, entries, caveats) -> Verdict:
+def _rule_mathieu_large(ctx: _Ctx, char, entries, caveats) -> Verdict:
+    n = ctx.group.degree
     key = {22: "m22", 23: "m23", 24: "m24"}[n]
-    overrides = {
-        "simple": fact(f"atlas-{key}-simple"),
-        "no_index_upto": (n - 1, fact(f"atlas-{key}-min-index-{n}")),
-    }
-    ctx = _Ctx(group, overrides)
+    ctx.overrides["simple"] = fact(f"atlas-{key}-simple")
+    ctx.overrides["no_index_upto"] = (n - 1, fact(f"atlas-{key}-min-index-{n}"))
     if n == 22:
         entries.append(
             _fact_entry(
@@ -1082,12 +1062,12 @@ def _rule_mathieu_large(group, n, g, char, entries, caveats) -> Verdict:
             )
         )
         return _generic_rule(
-            group, n, g, char, entries, caveats, ctx=ctx,
+            ctx, char, entries, caveats,
             quaternion_exclusion=fact("deg22-supersingular-excluded"),
             q_side_exclusion=fact("m22-q-matrix-excluded"),
         )
     return _generic_rule(
-        group, n, g, char, entries, caveats, ctx=ctx,
+        ctx, char, entries, caveats,
         quaternion_exclusion=fact(f"{key}-quaternion-excluded"),
     )
 

@@ -4,9 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-from endocert import cli
+import pytest
+
 from endocert.cli import EXIT_OK, EXIT_USAGE, main
-from endocert.permgroup import structure
+from endocert.permgroup import StabilizerChain, structure
+from endocert.permgroup import families as fam
+from endocert.verdict import analyze_jacobian, case_from_group
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -158,24 +161,55 @@ class TestSelftest:
         assert "12/12 fixture cases passed" in out
 
 
+@pytest.fixture
+def work_counts(monkeypatch):
+    """Count stabilizer-chain builds and conjugacy-class enumerations."""
+    counts = {"chain builds": 0, "class enumerations": 0}
+    build = vars(StabilizerChain)["build"].__func__
+    classes = structure.conjugacy_class_representatives
+
+    def counted_build(cls, *args, **kwargs):
+        counts["chain builds"] += 1
+        return build(cls, *args, **kwargs)
+
+    def counted_classes(*args, **kwargs):
+        counts["class enumerations"] += 1
+        return classes(*args, **kwargs)
+
+    monkeypatch.setattr(StabilizerChain, "build", classmethod(counted_build))
+    monkeypatch.setattr(structure, "conjugacy_class_representatives", counted_classes)
+    return counts
+
+
+def _twice(call, counts):
+    """Run ``call`` twice; return each result with the work counts it made."""
+    seen = []
+    for _ in range(2):
+        counts.update(dict.fromkeys(counts, 0))
+        seen.append((call(), dict(counts)))
+    return seen
+
+
 class TestProcessState:
-    def test_seed_applies_to_one_call_only(self, capsys, monkeypatch):
-        seen = []
-        real = cli._cmd_group_check
+    """A second identical call in one process repeats the first exactly."""
 
-        def recording(args):
-            seen.append(structure._RANDOM_SEED)
-            return real(args)
+    @pytest.mark.parametrize("argv", [
+        ("group-check", "--degree", "11", "--generators", "PSL2_11"),
+        ("analyze", "--poly", "x^7 - 7*x + 3"),
+        ("selftest",),
+    ], ids=lambda argv: argv[0])
+    def test_repeat_call_same_report_and_work(self, capsys, work_counts, argv):
+        first, second = _twice(lambda: run(capsys, *argv), work_counts)
+        assert first == second
+        assert first[1]["chain builds"] > 0
 
-        monkeypatch.setattr(cli, "_cmd_group_check", recording)
-        args = ("group-check", "--degree", "5", "--generators", "A5")
-        default_out = run(capsys, *args)[1]
-        assert run(capsys, *args, "--seed", "5")[1] == default_out
-        assert structure._RANDOM_SEED == 0x5EED
-        run(capsys, *args, "--seed", "0")
-        assert run(capsys, *args)[1] == default_out
-        assert seen == [0x5EED, 5, 0, 0x5EED]
-        assert structure._RANDOM_SEED == 0x5EED
+    def test_library_repeat_call_same_work(self, work_counts):
+        def analyze_a7():
+            return analyze_jacobian(case_from_group(fam.alternating_group(7), 0)).to_json()
+
+        first, second = _twice(analyze_a7, work_counts)
+        assert first == second
+        assert first[1]["chain builds"] > 0
 
 
 def test_reader_closing_early_is_quiet():

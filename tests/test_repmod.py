@@ -9,7 +9,6 @@ from endocert.permgroup import Perm, PermGroup, families as fam
 from endocert.repmod import (
     CentralizerClass,
     act,
-    action_is_faithful,
     build_heart,
     heart_centralizer,
     klemm_hypothesis_holds,
@@ -80,8 +79,6 @@ class TestAction:
             if act(h, Perm(p)).is_identity()
         ]
         assert len(kernel) == 4
-        assert not action_is_faithful(fam.symmetric_group(4))
-        assert action_is_faithful(fam.symmetric_group(5))
 
 
 class TestHeartCentralizer:

@@ -102,7 +102,7 @@ class TestRecognition:
 
 class TestAnalyzeCenter:
     def test_psl2_13_field_commutant_gives_simple_algebra(self):
-        analysis = analyze_center(fam.psl2(13), 14, 0)
+        analysis = analyze_center(fam.psl2(13))
         assert analysis.report.classification is CentralizerClass.FIELD
         assert analysis.report.field_size == 4
         assert analysis.center_is_field is True
@@ -121,7 +121,7 @@ class TestAnalyzeCenter:
         assert any(e.hypothesis.startswith("commutant of the mod-2") for e in v.checklist)
 
     def test_s7_index_two_blocks_center_q(self):
-        analysis = analyze_center(fam.symmetric_group(7), 7, 0)
+        analysis = analyze_center(fam.symmetric_group(7))
         assert analysis.report.classification is CentralizerClass.SCALARS
         assert analysis.center_is_field is True  # no index-3 subgroup
         assert analysis.center_is_q == "unknown"
@@ -129,16 +129,12 @@ class TestAnalyzeCenter:
         assert any("index 2" in e.hypothesis for e in failed)
 
     def test_a7_natural_center_is_q(self):
-        analysis = analyze_center(fam.alternating_group(7), 7, 0)
+        analysis = analyze_center(fam.alternating_group(7))
         assert analysis.center_is_q is True
 
     def test_degree_4_refused(self):
         with pytest.raises(ValueError):
-            analyze_center(fam.symmetric_group(4), 4, 0)
-
-    def test_only_mod_2_supported(self):
-        with pytest.raises(ValueError):
-            analyze_center(fam.symmetric_group(5), 5, 0, ell=3)
+            analyze_center(fam.symmetric_group(4))
 
 
 PAPER_CASES = [
