@@ -13,11 +13,9 @@ from .fflin import (
     algebra_closure,
     centralizer_basis,
     double_centralizer_check,
-    is_field_algebra,
     kernel,
     rank,
     rref,
-    solve,
 )
 from .permgroup import (
     Perm,
@@ -76,7 +74,6 @@ __all__ = [
     "heart_centralizer",
     "hom_pair_analysis",
     "identify",
-    "is_field_algebra",
     "is_perfect",
     "is_simple",
     "is_solvable",
@@ -87,5 +84,4 @@ __all__ = [
     "psl2_subgroup_criterion",
     "rank",
     "rref",
-    "solve",
 ]

@@ -225,10 +225,15 @@ def _cmd_identify(args) -> int:
     return EXIT_OK
 
 
+def _a5() -> PermGroup:
+    return fam.alternating_group(5)
+
+
+# fixtures that share a group share its constructor, so `selftest` builds it once
 _SELFTEST_CASES = [
-    ("A5, n=5, char 0", lambda: fam.alternating_group(5), 0, {Outcome.END_IS_Z}),
-    ("A5, n=5, char 5", lambda: fam.alternating_group(5), 5, {Outcome.END_IS_Z}),
-    ("A5, n=5, char 3", lambda: fam.alternating_group(5), 3, {Outcome.SUPERSINGULAR_POSSIBLE}),
+    ("A5, n=5, char 0", _a5, 0, {Outcome.END_IS_Z}),
+    ("A5, n=5, char 5", _a5, 5, {Outcome.END_IS_Z}),
+    ("A5, n=5, char 3", _a5, 3, {Outcome.SUPERSINGULAR_POSSIBLE}),
     ("PSL(2,7), n=7, char 0", fam.psl2_7_on_7_points, 0, {Outcome.END_IS_Z}),
     ("PSL(2,7), n=7, char 7", fam.psl2_7_on_7_points, 7, {Outcome.END_IS_Z}),
     ("PSL(2,11), n=11, char 0", fam.psl2_11_on_11_points, 0, {Outcome.END_IS_Z}),
@@ -245,8 +250,11 @@ _SELFTEST_CASES = [
 def _cmd_selftest(args) -> int:
     failures = 0
     rows = []
+    groups: dict = {}  # constructor -> its group, for this call only
     for name, build, char, expected in _SELFTEST_CASES:
-        verdict = analyze_jacobian(case_from_group(build(), char))
+        if build not in groups:
+            groups[build] = build()
+        verdict = analyze_jacobian(case_from_group(groups[build], char))
         ok = verdict.outcome in expected
         failures += 0 if ok else 1
         rows.append((name, verdict.outcome.value, ok))

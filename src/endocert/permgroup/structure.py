@@ -253,7 +253,5 @@ def has_normal_subgroup_of_index_dividing(
             if index > 1 and g % index == 0:
                 return True
         return False
-    if simple is False:
-        # a proper normal subgroup is known, but the lattice is out of reach
-        return "unknown"
+    # the lattice is out of reach
     return "unknown"

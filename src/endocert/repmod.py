@@ -21,7 +21,7 @@ from enum import Enum
 from typing import Optional
 
 from .errors import InternalInconsistencyError
-from .fflin import FSubalgebra, MatF, centralizer_basis, is_field_algebra
+from .fflin import FSubalgebra, MatF, centralizer_basis
 from .permgroup import Perm, PermGroup
 
 
@@ -70,7 +70,7 @@ def act(heart: HeartModule, s: Perm) -> MatF:
             if (col >> i) & 1:
                 row |= 1 << j
         rows.append(row)
-    return MatF(2, heart.dim, heart.dim, tuple(rows))
+    return MatF(heart.dim, heart.dim, tuple(rows))
 
 
 class CentralizerClass(str, Enum):
@@ -93,9 +93,13 @@ class CentralizerReport:
         return self.algebra.dim
 
 
+def required_transitivity(n: int) -> int:
+    """Klemm's transitivity degree for n roots: 2 for odd n, 3 for even n."""
+    return 2 if n % 2 == 1 else 3
+
+
 def klemm_hypothesis_holds(n: int, transitivity: int) -> bool:
-    """Doubly transitive for odd n, 3-transitive for even n."""
-    return transitivity >= (2 if n % 2 == 1 else 3)
+    return transitivity >= required_transitivity(n)
 
 
 def heart_centralizer(group: PermGroup) -> CentralizerReport:
@@ -109,9 +113,9 @@ def heart_centralizer(group: PermGroup) -> CentralizerReport:
     heart = build_heart(group.degree)
     mats = [act(heart, g) for g in group.generators]
     if not mats:
-        mats = [MatF.identity(2, heart.dim)]
+        mats = [MatF.identity(heart.dim)]
     algebra = centralizer_basis(mats)
-    is_field, size = is_field_algebra(algebra)
+    is_field, size = algebra.field_test()
     if algebra.dim == 1:
         cls = CentralizerClass.SCALARS
         size = 2

@@ -42,7 +42,7 @@ from ..polygal import (
     joint_census,
     standard_candidates,
 )
-from ..repmod import CentralizerClass, CentralizerReport, heart_centralizer
+from ..repmod import CentralizerClass, CentralizerReport, heart_centralizer, required_transitivity
 from .facts import FactRecord, fact
 from .glz import gl_has_element_of_order
 
@@ -812,7 +812,7 @@ def _analyze_group_case(
     trans = group.transitivity_degree()
     ident = recognize(group, n)
     # the projective-line route needs only double transitivity even for even n
-    need = 2 if (n % 2 == 1 or ident.kind == "psl2-natural") else 3
+    need = 2 if ident.kind == "psl2-natural" else required_transitivity(n)
     trans_ok = trans >= need
     entries.append(
         _entry(
@@ -1134,7 +1134,7 @@ def hom_pair_analysis(
             )
         )
         trans = case.group.transitivity_degree()
-        need = 2 if poly.degree % 2 == 1 else 3
+        need = required_transitivity(poly.degree)
         ok = trans >= need
         entries.append(
             _entry(

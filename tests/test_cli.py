@@ -160,6 +160,17 @@ class TestSelftest:
         assert "FAIL" not in out
         assert "12/12 fixture cases passed" in out
 
+    def test_builds_each_group_once(self, capsys, monkeypatch):
+        built = []
+        alternating = fam.alternating_group
+        monkeypatch.setattr(
+            fam, "alternating_group", lambda n: built.append(n) or alternating(n)
+        )
+        code, _, _ = run(capsys, "selftest")
+        assert code == EXIT_OK
+        # A5 serves three fixtures; A7 on 15 points builds A7 on its own
+        assert built.count(5) == 1
+
 
 @pytest.fixture
 def work_counts(monkeypatch):

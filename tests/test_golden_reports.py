@@ -2,7 +2,9 @@
 
 `golden_reports.json` holds the machine report of each selftest fixture
 and of a few CLI runs (`group-check` S9 and A9, `analyze` on x^n - x - 1
-and on Trinks' x^7 - 7*x + 3, one `hom-check`).  A refactor must leave
+and on Trinks' x^7 - 7*x + 3, one `hom-check`, and two `group-check`
+runs with `--dump-action --dump-centralizer`, which pin the matrix dump
+format and the echelon order of the commutant basis).  A refactor must leave
 every one of them unchanged.  A change that alters a verdict on purpose
 (the S_n descent, certified Galois groups and proof-carrying
 checklists: ROADMAP items 1, 2 and 4) regenerates the file with
@@ -30,6 +32,10 @@ CLI_CASES = [
     *(("analyze", "--poly", f"x^{n} - x - 1") for n in (5, 7, 8, 9)),
     ("analyze", "--poly", "x^7 - 7*x + 3"),
     ("hom-check", "--poly", "x^3 - 2", "--poly2", "x^3 + x - 1"),
+    ("group-check", "--degree", "5", "--generators", "(1 2 3 4 5)",
+     "--dump-action", "--dump-centralizer"),
+    ("group-check", "--degree", "7", "--generators", "PSL2_7",
+     "--dump-action", "--dump-centralizer"),
 ]
 FIXTURES = [name for name, _, _, _ in cli._SELFTEST_CASES]
 
@@ -66,6 +72,22 @@ def test_golden_covers_every_case(golden):
 @pytest.mark.parametrize("name", FIXTURES)
 def test_selftest_fixture_report(golden, name):
     assert _fixture_report(name) == golden[f"selftest: {name}"]
+
+
+def test_selftest_reports_are_the_fixture_reports(golden, monkeypatch):
+    # `selftest` builds each fixture group once and analyses it at every
+    # characteristic its fixtures name; each report must be the fixture's own
+    reports = []
+
+    def recording(case):
+        verdict = analyze_jacobian(case)
+        reports.append(verdict.to_json())
+        return verdict
+
+    monkeypatch.setattr(cli, "analyze_jacobian", recording)
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["selftest"]) == cli.EXIT_OK
+    assert reports == [golden[f"selftest: {name}"] for name in FIXTURES]
 
 
 @pytest.mark.parametrize("argv", CLI_CASES, ids=" ".join)

@@ -12,6 +12,7 @@ from endocert.repmod import (
     build_heart,
     heart_centralizer,
     klemm_hypothesis_holds,
+    required_transitivity,
 )
 
 
@@ -115,6 +116,7 @@ class TestHeartCentralizer:
         assert klemm_hypothesis_holds(7, 2)
         assert not klemm_hypothesis_holds(8, 2)
         assert klemm_hypothesis_holds(8, 3)
+        assert [required_transitivity(n) for n in range(3, 9)] == [2, 3, 2, 3, 2, 3]
 
     def test_classification_conjugation_invariant(self):
         rng = random.Random(99)
@@ -133,7 +135,7 @@ class TestHeartCentralizer:
         # corrupt the action so the centralizer comes out too large for a
         # 2-transitive group: the guard must raise, not return
         def broken_act(heart, s):
-            return MatF.identity(2, heart.dim)
+            return MatF.identity(heart.dim)
 
         monkeypatch.setattr(rm, "act", broken_act)
         with pytest.raises(InternalInconsistencyError):
