@@ -34,6 +34,7 @@ from .polygal import DEFAULT_PRIME_BUDGET, IntPoly, census, identify, standard_c
 from .repmod import build_heart, heart_centralizer
 from .verdict import (
     Outcome,
+    Verdict,
     analyze_jacobian,
     case_from_group,
     case_from_polynomial,
@@ -145,14 +146,16 @@ def _parse_group(args) -> PermGroup:
     return group
 
 
-def _print_dumps(args, group: PermGroup) -> None:
+def _print_dumps(args, group: PermGroup, verdict: Verdict) -> None:
     if getattr(args, "dump_action", False):
         heart = build_heart(group.degree)
         for g in group.generators:
             print(f"# action of {g.cycle_string()}")
             print(format_matrix(heart.act(g)))
     if getattr(args, "dump_centralizer", False):
-        report = heart_centralizer(group)
+        report = verdict.heart_commutant
+        if report is None:
+            report = heart_centralizer(group)
         print(f"# heart commutant: {report.classification.value}, dimension {report.dim}")
         for m in report.algebra.basis_matrices():
             print(format_matrix(m))
@@ -173,7 +176,7 @@ def _cmd_analyze(args) -> int:
         return EXIT_OK
     verdict = analyze_jacobian(case)
     _emit(verdict, args.format)
-    _print_dumps(args, case.group)
+    _print_dumps(args, case.group, verdict)
     return EXIT_OK
 
 
@@ -181,7 +184,7 @@ def _cmd_group_check(args) -> int:
     group = _parse_group(args)
     verdict = analyze_jacobian(case_from_group(group, args.char))
     _emit(verdict, args.format)
-    _print_dumps(args, group)
+    _print_dumps(args, group, verdict)
     return EXIT_OK
 
 

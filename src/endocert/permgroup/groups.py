@@ -121,6 +121,25 @@ class PermGroup:
 
     # -- derived groups ------------------------------------------------------
 
+    @cached_property
+    def even_part(self) -> "PermGroup":
+        """G ∩ A_n, the kernel of the sign map; the group itself when every
+        generator is even.
+
+        Generated by the Schreier generators of the transversal {1, t}, t
+        the first odd generator: s and t s t^-1 for even s, s t^-1 and t s
+        for odd s.
+        """
+        odd = [g for g in self.generators if not g.is_even()]
+        if not odd:
+            return self
+        t = odd[0]
+        tinv = t.inverse()
+        gens: list[Perm] = []
+        for s in self.generators:
+            gens += [s, t * s * tinv] if s.is_even() else [s * tinv, t * s]
+        return PermGroup(self.degree, gens)
+
     def point_stabilizer(self, point: int) -> "PermGroup":
         """Stabilizer of a point, as a group of the same degree."""
         if not 0 <= point < self.degree:

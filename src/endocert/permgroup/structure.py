@@ -140,7 +140,7 @@ def _is_simple_uncached(group: PermGroup, bound: int, trials: int) -> TriState:
     order = group.order()
     if order == 1:
         return False
-    if order > 2 and _has_odd_generator(group):
+    if order > 2 and group.even_part is not group:
         return False
     if order <= bound:
         reps = conjugacy_class_representatives(group, bound)
@@ -163,10 +163,6 @@ def _is_simple_uncached(group: PermGroup, bound: int, trials: int) -> TriState:
     return "unknown"
 
 
-def _has_odd_generator(group: PermGroup) -> bool:
-    return not all(g.is_even() for g in group.generators)
-
-
 def simplicity_is_cheap(group: PermGroup) -> bool:
     """Whether ``is_simple(group)`` answers without a costly enumeration.
 
@@ -177,7 +173,7 @@ def simplicity_is_cheap(group: PermGroup) -> bool:
     return (
         group.order() <= SUBGROUP_LATTICE_BOUND
         or group._simple is not None
-        or _has_odd_generator(group)
+        or group.even_part is not group
     )
 
 

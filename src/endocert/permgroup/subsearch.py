@@ -8,8 +8,13 @@ product-action stabilizer chain checks without needing a presentation.
 
 Strategy ladder per index r (smallest r wins):
   1. Lagrange: r must divide |G|.
-  2. Faithful-action shortcut for groups known simple: |G| must divide r!.
-     Simplicity is consulted when it is cheap, or when it is exact and the
+  2. Normal-subgroup descent.  N = G ∩ A_n is normal in G with |G/N| <= 2
+     (N = G when every generator is even).  If N is simple and |N| does
+     not divide r!, N has no proper subgroup of index <= r, so an index-r
+     subgroup H contains N (H ∩ N has index <= r in N) and exists iff
+     r = |G/N|; for r = 2 its certificate is N's generators.  N = A_n is
+     read off the order |G| = n! (n >= 5); any other N is asked only when
+     its simplicity is cheap, and N = G also when it is exact and the
      backtrack below would scan more than 5000 generator-image assignments.
   3. Backtracking over generator images in Sym(r), the first image taken
      up to conjugacy (one representative per cycle type).
@@ -188,12 +193,34 @@ def _lattice_has_index(group: PermGroup, r: int) -> Optional[tuple[Perm, ...]]:
     return None
 
 
+def _descent_applies(group: PermGroup, r: int) -> bool:
+    """Whether N = G ∩ A_n is known simple with |N| not dividing r!.
+
+    Neither |N| nor the simplicity of N = A_n needs a chain of N.
+    """
+    order = group.order()
+    even = group.even_part
+    if math.factorial(r) % (order if even is group else order // 2) == 0:
+        return False
+    if even is not group:
+        if group.degree >= 5 and order == math.factorial(group.degree):
+            return True  # N = A_n
+        return simplicity_is_cheap(even) and is_simple(even) is True
+    # when simplicity is not cheap, a cheap backtrack beats an exact
+    # simplicity check; above the exhaustive bound is_simple cannot answer
+    # True, so the shortcut would only burn the randomized budget
+    return (
+        simplicity_is_cheap(group)
+        or (order <= EXHAUSTIVE_BOUND and not _backtrack_is_cheap(group, r))
+    ) and is_simple(group) is True
+
+
 def has_proper_subgroup_of_index(
     group: PermGroup, r: int, shortcut: bool = True
 ) -> tuple[TriState, Optional[tuple[Perm, ...]], SearchMethod]:
     """Decide existence of a proper subgroup of index exactly r.
 
-    ``shortcut=False`` skips the simplicity/Lagrange shortcut so the
+    ``shortcut=False`` skips the descent rule (step 2) so the
     backtrack can serve as an independent oracle for it.
     """
     if r < 2:
@@ -201,18 +228,10 @@ def has_proper_subgroup_of_index(
     order = group.order()
     if order % r != 0:
         return False, None, "lagrange-shortcut"
-    # when simplicity is not cheap, a cheap backtrack beats an exact
-    # simplicity check; above the exhaustive bound is_simple cannot answer
-    # True, so the shortcut would only burn the randomized budget
-    if (
-        shortcut
-        and (
-            simplicity_is_cheap(group)
-            or (order <= EXHAUSTIVE_BOUND and not _backtrack_is_cheap(group, r))
-        )
-        and is_simple(group) is True
-        and math.factorial(r) % order != 0
-    ):
+    if shortcut and _descent_applies(group, r):
+        # every index-r subgroup contains N, so r = |G/N| = 2 or none exists
+        if r == 2 and group.even_part is not group:
+            return True, group.even_part.generators, "lagrange-shortcut"
         return False, None, "lagrange-shortcut"
     if r <= BACKTRACK_MAX_INDEX:
         cert = _homomorphism_search(group, r)

@@ -85,6 +85,9 @@ class Verdict:
     supersingular_chars: Optional[frozenset[int]] = None
     conditional: bool = False
     case: dict = field(default_factory=dict)
+    # the analysed group's heart commutant when a rule computed it, for
+    # `--dump-centralizer`; not part of the report
+    heart_commutant: Optional[CentralizerReport] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.outcome is Outcome.END_IS_Z:
@@ -791,7 +794,9 @@ def analyze_jacobian(case: CaseInput) -> Verdict:
                 "the census identification reads the polynomial over the integers; "
                 "for a positive-characteristic base field supply the group explicitly"
             )
-    verdict = _analyze_group_case(case.group, case.char, entries, caveats)
+    ctx = _Ctx(case.group)
+    verdict = _analyze_group_case(ctx, case.char, entries, caveats)
+    verdict.heart_commutant = ctx._centralizer
     verdict.conditional = case.conditional
     verdict.case = case.describe()
     return verdict
@@ -803,11 +808,12 @@ def _inconclusive(entries, caveats, reason: str) -> Verdict:
 
 
 def _analyze_group_case(
-    group: PermGroup,
+    ctx: _Ctx,
     char: int,
     entries: list[ChecklistEntry],
     caveats: list[str],
 ) -> Verdict:
+    group = ctx.group
     n = group.degree
     trans = group.transitivity_degree()
     ident = recognize(group, n)
@@ -833,7 +839,6 @@ def _analyze_group_case(
     if not trans_ok:
         return _inconclusive(entries, caveats, "the transitivity hypothesis failed")
 
-    ctx = _Ctx(group)
     if ident.kind == "alternating" and n >= 5:
         return _rule_alternating(ctx, char, entries, caveats)
     if ident.kind in ("mathieu12", "mathieu11-deg12") and n == 12:
@@ -970,7 +975,7 @@ def _rule_degree12_reduction(ctx: _Ctx, char, entries, caveats, ident) -> Verdic
             f"{stab.transitivity_degree()} on 11 points",
         )
     )
-    return _analyze_group_case(stab, char, entries, caveats)
+    return _analyze_group_case(_Ctx(stab), char, entries, caveats)
 
 
 #: Families that run the generic rule as they are, with the cited fact that

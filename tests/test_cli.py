@@ -6,10 +6,12 @@ from pathlib import Path
 
 import pytest
 
+from endocert import cli
 from endocert.cli import EXIT_OK, EXIT_USAGE, main
 from endocert.permgroup import StabilizerChain, structure
 from endocert.permgroup import families as fam
-from endocert.verdict import analyze_jacobian, case_from_group
+from endocert.repmod import heart_centralizer
+from endocert.verdict import analyze_jacobian, case_from_group, engine
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -221,6 +223,32 @@ class TestProcessState:
         first, second = _twice(analyze_a7, work_counts)
         assert first == second
         assert first[1]["chain builds"] > 0
+
+
+class TestWorkCounts:
+    def test_s12_needs_no_action_backtrack(self, capsys, work_counts):
+        # A12 is simple and |A12| divides no r! for the indices the engine
+        # asks, so the descent through A12 decides them all; the index-5
+        # action-backtrack alone used to build 51 chains
+        code, _, _ = run(capsys, "group-check", "--degree", "12", "--generators", "S12")
+        assert code == EXIT_OK
+        assert work_counts["chain builds"] <= 3
+
+    def test_dump_centralizer_reuses_the_engine_commutant(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(group):
+            calls.append(group)
+            return heart_centralizer(group)
+
+        monkeypatch.setattr(cli, "heart_centralizer", counted)
+        monkeypatch.setattr(engine, "heart_centralizer", counted)
+        code, out, _ = run(
+            capsys, "group-check", "--degree", "7", "--generators", "PSL2_7",
+            "--dump-centralizer",
+        )
+        assert code == EXIT_OK and "# heart commutant" in out
+        assert len(calls) == 1
 
 
 def test_reader_closing_early_is_quiet():

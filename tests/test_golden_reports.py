@@ -1,11 +1,11 @@
 """Golden machine reports: the engine's verdicts, byte for byte.
 
 `golden_reports.json` holds the machine report of each selftest fixture
-and of a few CLI runs (`group-check` S9 and A9, `analyze` on x^n - x - 1
-and on Trinks' x^7 - 7*x + 3, one `hom-check`, and two `group-check`
-runs with `--dump-action --dump-centralizer`, which pin the matrix dump
-format and the echelon order of the commutant basis).  A refactor must leave
-every one of them unchanged.  A change that alters a verdict on purpose
+and of a few CLI runs (`group-check` S9, A9, S12 and S24, `analyze` on
+x^n - x - 1 and on Trinks' x^7 - 7*x + 3, one `hom-check`, and two
+`group-check` runs with `--dump-action --dump-centralizer`, which pin the
+matrix dump format and the echelon order of the commutant basis).  A
+refactor must leave every one of them unchanged.  A change that alters a verdict on purpose
 (the S_n descent, certified Galois groups and proof-carrying
 checklists: ROADMAP items 1, 2 and 4) regenerates the file with
 
@@ -29,6 +29,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden_reports.json"
 CLI_CASES = [
     ("group-check", "--degree", "9", "--generators", "S9"),
     ("group-check", "--degree", "9", "--generators", "A9"),
+    ("group-check", "--degree", "12", "--generators", "S12"),
+    ("group-check", "--degree", "24", "--generators", "S24"),
     *(("analyze", "--poly", f"x^{n} - x - 1") for n in (5, 7, 8, 9)),
     ("analyze", "--poly", "x^7 - 7*x + 3"),
     ("hom-check", "--poly", "x^3 - 2", "--poly2", "x^3 + x - 1"),

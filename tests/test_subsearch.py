@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -8,6 +10,7 @@ from endocert.permgroup import (
     min_proper_subgroup_index,
     psl2_subgroup_criterion,
     families as fam,
+    subsearch,
 )
 from endocert.permgroup.chain import closure_elements
 
@@ -16,6 +19,24 @@ from endocert.permgroup.chain import closure_elements
 def two_generator_groups(draw):
     n = draw(st.integers(5, 6))
     return PermGroup(n, [Perm(tuple(draw(st.permutations(range(n))))) for _ in range(2)])
+
+
+@st.composite
+def groups_with_an_odd_generator(draw):
+    n = draw(st.integers(5, 7))
+    a, b = (Perm(tuple(draw(st.permutations(range(n))))) for _ in range(2))
+    if a.is_even():
+        a = a * Perm.from_cycles(n, [[0, 1]])
+    return PermGroup(n, [a, b])
+
+
+def _pgl2_5() -> PermGroup:
+    # PGL(2,5) on the projective line, points 0..4 and infinity = 5:
+    # x -> x + 1 and x -> 2/x, whose determinant -2 is a non-square mod 5
+    # (x -> x + 1 and x -> 2x alone give only AGL(1,5), fixing infinity)
+    translate = Perm((1, 2, 3, 4, 0, 5))
+    flip = Perm((5, 2, 1, 4, 3, 0))
+    return PermGroup(6, [translate, flip])
 
 
 class TestMinProperSubgroupIndex:
@@ -88,10 +109,70 @@ class TestHasProperSubgroupOfIndex:
     @given(two_generator_groups())
     @example(fam.alternating_group(5))
     @example(fam.alternating_group(6))
+    # the descent through A_n read off |G| = n!
+    @example(fam.symmetric_group(5))
+    @example(fam.symmetric_group(6))
+    @example(fam.symmetric_group(7))
+    # even part PSL(2,5), built and found simple by class enumeration
+    @example(_pgl2_5())
+    # even part A4 is not simple: the descent must not fire
+    @example(fam.symmetric_group(4))
     def test_shortcut_ladder_agrees_with_backtrack(self, group):
         for r in range(2, 6):
             answer = has_proper_subgroup_of_index(group, r)[0]
             assert answer == has_proper_subgroup_of_index(group, r, shortcut=False)[0]
+
+
+class TestNormalSubgroupDescent:
+    """S_n answers index r >= 3 through A_n, with no action-backtrack."""
+
+    @pytest.fixture
+    def no_backtrack(self, monkeypatch):
+        def refuse(group, r):
+            raise AssertionError(f"action-backtrack reached at index {r}")
+
+        monkeypatch.setattr(subsearch, "_homomorphism_search", refuse)
+
+    @pytest.mark.parametrize("n, r", [
+        (9, 4), *((12, r) for r in range(3, 9)), (24, 11),
+    ])
+    def test_symmetric_group_has_no_index_r(self, no_backtrack, n, r):
+        ans, cert, method = has_proper_subgroup_of_index(fam.symmetric_group(n), r)
+        assert (ans, cert, method) == (False, None, "lagrange-shortcut")
+
+    def test_index_2_certificate_is_the_alternating_group(self, no_backtrack):
+        ans, cert, method = has_proper_subgroup_of_index(fam.symmetric_group(12), 2)
+        assert ans is True and method == "lagrange-shortcut"
+        assert all(g.is_even() for g in cert)
+        assert PermGroup(12, cert).order() == math.factorial(12) // 2
+
+    def test_s5_index_5_still_backtracks(self, no_backtrack):
+        # 5! is divisible by |A5| = 60, so A5 may have a subgroup of index 5
+        with pytest.raises(AssertionError, match="index 5"):
+            has_proper_subgroup_of_index(fam.symmetric_group(5), 5)
+
+    def test_non_simple_even_part_is_left_to_the_backtrack(self):
+        # S4 has index-3 subgroups (the dihedral 2-Sylows), though 3! is
+        # not divisible by |A4| = 12
+        ans, cert, method = has_proper_subgroup_of_index(fam.symmetric_group(4), 3)
+        assert ans is True and method == "action-backtrack"
+        assert PermGroup(4, cert).order() == 8
+
+    def test_pgl2_5_descends_through_psl2_5(self, no_backtrack):
+        group = _pgl2_5()
+        assert group.order() == 120 and group.transitivity_degree() == 3
+        for r in (3, 4):
+            assert has_proper_subgroup_of_index(group, r) == (False, None, "lagrange-shortcut")
+        ans, cert, _ = has_proper_subgroup_of_index(group, 2)
+        assert ans is True and PermGroup(6, cert).order() == 60
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(groups_with_an_odd_generator())
+    def test_even_part_has_index_2(self, group):
+        even = group.even_part
+        assert all(g.is_even() for g in even.generators)
+        assert all(g in group for g in even.generators)
+        assert 2 * even.order() == group.order()
 
 
 class TestPsl2Criterion:
