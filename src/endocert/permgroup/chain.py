@@ -163,9 +163,6 @@ class StabilizerChain:
     def order(self) -> int:
         return math.prod(len(level.transversal) for level in self.levels)
 
-    def base(self) -> tuple[int, ...]:
-        return self.base_order
-
     def basic_orbit_size(self, idx: int) -> int:
         if idx >= len(self.levels):
             return 1
@@ -180,15 +177,6 @@ class StabilizerChain:
     def level_generators(self, idx: int) -> list[tuple[int, ...]]:
         """Strong generators of the idx-th group in the chain."""
         return [g for g, home in self._strong if home >= idx]
-
-    def random_element(self, rng) -> tuple[int, ...]:
-        """Uniformly random element: product of random transversal reps."""
-        g = tuple(range(self.degree))
-        for level in self.levels:
-            if len(level.orbit) > 1:
-                pt = rng.choice(level.orbit)
-                g = _compose(g, level.transversal[pt])
-        return g
 
     def elements(self, limit: Optional[int] = None) -> Iterator[tuple[int, ...]]:
         """Iterate all elements via the transversal product; optional cap."""

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import random
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -10,8 +9,8 @@ from .chain import StabilizerChain
 from .perms import Perm
 
 #: Exhaustive-method cutoff for element enumeration (conjugacy classes,
-#: normal-subgroup lattices).  Beyond it the structure code falls back to
-#: randomized checks and honest "unknown" answers.
+#: normal-subgroup lattices).  Beyond it the structure code answers an
+#: honest "unknown".
 EXHAUSTIVE_BOUND = 10**6
 
 #: Cutoff for full subgroup-lattice searches.
@@ -21,8 +20,8 @@ SUBGROUP_LATTICE_BOUND = 10**4
 class PermGroup:
     """A permutation group of fixed degree given by generators.
 
-    Immutable after construction; the stabilizer chain, order and orbit
-    data are computed on first use and cached, and ``_simple`` caches the
+    Immutable after construction; the stabilizer chain and order are
+    computed on first use and cached, and ``_simple`` caches the
     answer of ``structure.is_simple`` (None until it is asked).  Instances
     are per call: the family constructors and the CLI build a new one each
     time, so these caches never outlive the analysis that filled them.
@@ -77,31 +76,6 @@ class PermGroup:
     def elements(self, limit: Optional[int] = EXHAUSTIVE_BOUND) -> Iterator[Perm]:
         for t in self.chain.elements(limit=limit):
             yield Perm(t)
-
-    def random_element(self, rng: random.Random) -> Perm:
-        return Perm(self.chain.random_element(rng))
-
-    def orbits(self) -> list[list[int]]:
-        """Orbit partition of the points, each orbit sorted, ordered by minimum."""
-        seen: set[int] = set()
-        out = []
-        gens = [g.images for g in self.generators]
-        for start in range(self.degree):
-            if start in seen:
-                continue
-            orbit = [start]
-            seen.add(start)
-            frontier = [start]
-            while frontier:
-                p = frontier.pop()
-                for g in gens:
-                    q = g[p]
-                    if q not in seen:
-                        seen.add(q)
-                        orbit.append(q)
-                        frontier.append(q)
-            out.append(sorted(orbit))
-        return out
 
     def transitivity_degree(self) -> int:
         """Largest k such that the action is transitive on k-tuples.

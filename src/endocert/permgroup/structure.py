@@ -2,16 +2,14 @@
 
 A group of order > 2 with an odd generator is refuted as simple by
 parity alone: its even part is a proper nontrivial normal subgroup.
-Otherwise exact paths run whenever the group order is below
+Otherwise exact paths run whenever the group order is at most
 ``EXHAUSTIVE_BOUND`` (conjugacy classes and the normal lattice are found
-by element enumeration).  Above the bound, randomized checks with a fixed
-seed can still refute simplicity; anything they cannot settle is reported
-as the honest tri-state "unknown" rather than guessed.
+by element enumeration).  Above the bound the answer is the honest
+tri-state "unknown" rather than a guess.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Literal, Optional, Sequence
 
 from .chain import StabilizerChain
@@ -20,14 +18,16 @@ from .perms import Perm, _compose, _invert
 
 TriState = Literal[True, False, "unknown"]
 
-RANDOM_TRIALS = 64
-_RANDOM_SEED = 0x5EED
+
+def _conjugators(group: PermGroup) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each generator's images with those of its inverse, inverted once."""
+    return [(g.images, _invert(g.images)) for g in group.generators]
 
 
 def normal_closure(ambient: PermGroup, seeds: Sequence[Perm]) -> PermGroup:
     """Smallest normal subgroup of ``ambient`` containing ``seeds``."""
     degree = ambient.degree
-    gens = [g.images for g in ambient.generators]
+    conjugators = _conjugators(ambient)
     chain = StabilizerChain(degree)
     closure_gens: list[tuple[int, ...]] = []
     queue: list[tuple[int, ...]] = []
@@ -37,8 +37,8 @@ def normal_closure(ambient: PermGroup, seeds: Sequence[Perm]) -> PermGroup:
             queue.append(s.images)
     while queue:
         x = queue.pop()
-        for g in gens:
-            y = _compose(_invert(g), _compose(x, g))
+        for g, ginv in conjugators:
+            y = _compose(ginv, _compose(x, g))
             if not chain.contains(y):
                 chain.add_generator(y)
                 closure_gens.append(y)
@@ -80,19 +80,16 @@ def is_solvable(group: PermGroup) -> bool:
     return derived_series(group)[-1].order() == 1
 
 
-def conjugacy_class_representatives(
-    group: PermGroup, bound: int = EXHAUSTIVE_BOUND
-) -> Optional[list[Perm]]:
+def conjugacy_class_representatives(group: PermGroup) -> Optional[list[Perm]]:
     """One representative per conjugacy class, or None above the bound.
 
     Classes are found by BFS under generator conjugation over the full
-    element list, so this is exact but requires |G| <= bound.
+    element list, so this is exact but requires |G| <= EXHAUSTIVE_BOUND.
     """
-    if group.order() > bound:
+    if group.order() > EXHAUSTIVE_BOUND:
         return None
-    degree = group.degree
-    gens = [g.images for g in group.generators]
-    all_elems = sorted(bytes(t) for t in group.chain.elements(limit=bound))
+    conjugators = _conjugators(group)
+    all_elems = sorted(bytes(t) for t in group.chain.elements(limit=EXHAUSTIVE_BOUND))
     classified: set[bytes] = set()
     reps = []
     for key in all_elems:
@@ -104,8 +101,8 @@ def conjugacy_class_representatives(
         classified.add(key)
         while frontier:
             x = frontier.pop()
-            for g in gens:
-                y = _compose(_invert(g), _compose(x, g))
+            for g, ginv in conjugators:
+                y = _compose(ginv, _compose(x, g))
                 yk = bytes(y)
                 if yk not in classified:
                     classified.add(yk)
@@ -113,54 +110,33 @@ def conjugacy_class_representatives(
     return reps
 
 
-def is_simple(
-    group: PermGroup,
-    bound: int = EXHAUSTIVE_BOUND,
-    trials: int = RANDOM_TRIALS,
-) -> TriState:
+def is_simple(group: PermGroup) -> TriState:
     """Tri-state simplicity test.
 
     A group of order > 2 with an odd generator is not simple: its
     intersection with the alternating group has index 2.  Otherwise exact
-    for |G| <= bound: the normal closure of every nontrivial
+    for |G| <= EXHAUSTIVE_BOUND: the normal closure of every nontrivial
     conjugacy-class representative must be the whole group.  Above the
-    bound, ``trials`` random elements (fixed seed) can refute simplicity
-    via a proper closure; if none does, the honest answer is "unknown".
-    The result is cached on the group for the default bound.
+    bound the answer is "unknown".  The result is cached on the group.
     """
-    if group._simple is not None and bound == EXHAUSTIVE_BOUND:
-        return group._simple
-    result = _is_simple_uncached(group, bound, trials)
-    if bound == EXHAUSTIVE_BOUND:
-        group._simple = result
-    return result
+    if group._simple is None:
+        group._simple = _is_simple_uncached(group)
+    return group._simple
 
 
-def _is_simple_uncached(group: PermGroup, bound: int, trials: int) -> TriState:
+def _is_simple_uncached(group: PermGroup) -> TriState:
     order = group.order()
     if order == 1:
         return False
     if order > 2 and group.even_part is not group:
         return False
-    if order <= bound:
-        reps = conjugacy_class_representatives(group, bound)
-        assert reps is not None
-        for rep in reps:
-            if rep.is_identity():
-                continue
-            closure = normal_closure(group, [rep])
-            if closure.order() != order:
-                return False
-        return True
-    rng = random.Random(_RANDOM_SEED)
-    for _ in range(trials):
-        x = group.random_element(rng)
-        if x.is_identity():
-            continue
-        closure = normal_closure(group, [x])
-        if closure.order() != order:
-            return False
-    return "unknown"
+    if order > EXHAUSTIVE_BOUND:
+        return "unknown"
+    return all(
+        normal_closure(group, [rep]).order() == order
+        for rep in conjugacy_class_representatives(group)
+        if not rep.is_identity()
+    )
 
 
 def simplicity_is_cheap(group: PermGroup) -> bool:
@@ -177,19 +153,16 @@ def simplicity_is_cheap(group: PermGroup) -> bool:
     )
 
 
-def _normal_subgroup_orders(group: PermGroup, bound: int) -> Optional[list[int]]:
-    """Orders of all proper nontrivial normal subgroups, or None above bound.
+def _normal_subgroup_orders(group: PermGroup) -> list[int]:
+    """Orders of all proper nontrivial normal subgroups; |G| <= EXHAUSTIVE_BOUND.
 
     Every normal subgroup is a join of normal closures of class
     representatives, so closing that atom set under joins enumerates the
     normal lattice.
     """
-    reps = conjugacy_class_representatives(group, bound)
-    if reps is None:
-        return None
     order = group.order()
     atoms: list[PermGroup] = []
-    for rep in reps:
+    for rep in conjugacy_class_representatives(group):
         if rep.is_identity():
             continue
         closure = normal_closure(group, [rep])
@@ -200,7 +173,7 @@ def _normal_subgroup_orders(group: PermGroup, bound: int) -> Optional[list[int]]
     keys: set[frozenset[bytes]] = set()
 
     def key_of(h: PermGroup) -> frozenset[bytes]:
-        return frozenset(bytes(t) for t in h.chain.elements(limit=bound))
+        return frozenset(bytes(t) for t in h.chain.elements(limit=EXHAUSTIVE_BOUND))
 
     work = list(atoms)
     while work:
@@ -221,33 +194,23 @@ def _normal_subgroup_orders(group: PermGroup, bound: int) -> Optional[list[int]]
     return sorted(h.order() for h in subgroups)
 
 
-def has_normal_subgroup_of_index_dividing(
-    group: PermGroup, g: int, bound: int = EXHAUSTIVE_BOUND
-) -> TriState:
+def has_normal_subgroup_of_index_dividing(group: PermGroup, g: int) -> TriState:
     """Tri-state: does a proper normal subgroup of index dividing g exist?
 
     Index 1 (the group itself) never counts.  Simplicity shortcuts apply
-    first; the exact path enumerates the normal-subgroup lattice.
+    first; the exact path enumerates the normal-subgroup lattice, and
+    above ``EXHAUSTIVE_BOUND`` the answer is "unknown".
     """
     if g < 1:
         raise ValueError("g must be >= 1")
     order = group.order()
     if order == 1 or g == 1:
         return False
-    if order > bound:
-        # neither the exact lattice nor an affirmative simplicity answer is
-        # reachable up there
+    if order > EXHAUSTIVE_BOUND:
         return "unknown"
-    simple = is_simple(group, bound)
-    if simple is True:
+    if is_simple(group) is True:
         # only proper normal subgroup is trivial, of index |G|
         return order <= g and g % order == 0
-    orders = _normal_subgroup_orders(group, bound)
-    if orders is not None:
-        for h_order in orders:
-            index = order // h_order
-            if index > 1 and g % index == 0:
-                return True
-        return False
-    # the lattice is out of reach
-    return "unknown"
+    return any(
+        g % (order // h_order) == 0 for h_order in _normal_subgroup_orders(group)
+    )

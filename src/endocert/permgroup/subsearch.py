@@ -207,8 +207,8 @@ def _descent_applies(group: PermGroup, r: int) -> bool:
             return True  # N = A_n
         return simplicity_is_cheap(even) and is_simple(even) is True
     # when simplicity is not cheap, a cheap backtrack beats an exact
-    # simplicity check; above the exhaustive bound is_simple cannot answer
-    # True, so the shortcut would only burn the randomized budget
+    # simplicity check; above the exhaustive bound is_simple answers
+    # "unknown", so the shortcut cannot apply there
     return (
         simplicity_is_cheap(group)
         or (order <= EXHAUSTIVE_BOUND and not _backtrack_is_cheap(group, r))

@@ -510,14 +510,13 @@ class GroupHypothesis:
 def identify(
     sample: CycleTypeCensus,
     candidates: Sequence[PermGroup],
-    threshold: float = MATCH_THRESHOLD,
 ) -> list[GroupHypothesis]:
     """Match the census against candidate groups of the same degree.
 
     A candidate matches when the observed partition support is contained
     in its cycle-type support and the chi-square tail probability of the
     observed partition frequencies against its exact distribution is at
-    least the threshold.  Results are sorted by confidence, descending.
+    least ``MATCH_THRESHOLD``.  Results are sorted by confidence, descending.
     """
     results = []
     n_cycle_seen = any(
@@ -548,7 +547,7 @@ def identify(
             GroupHypothesis(
                 name=cand.name or f"degree-{cand.degree} candidate",
                 group=cand,
-                matched=contained and conf >= threshold,
+                matched=contained and conf >= MATCH_THRESHOLD,
                 confidence=conf,
                 chi_square=chi,
                 support_contained=contained,

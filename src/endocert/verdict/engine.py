@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Literal, Optional, Sequence
+from typing import Literal, Optional
 
 from ..arith import factorize, is_odd_prime_power, is_prime
 from ..errors import InternalInconsistencyError
@@ -188,15 +188,13 @@ def case_from_polynomial(
     f: IntPoly,
     char: int,
     prime_budget: int = DEFAULT_PRIME_BUDGET,
-    candidates: Optional[Sequence[PermGroup]] = None,
 ) -> tuple[Optional[CaseInput], CycleTypeCensus, list[GroupHypothesis]]:
     """Census + identification; the case is None when nothing matched."""
     _validate_char(char)
     if not is_squarefree(f):
         raise ValueError("polynomial must be squarefree")
     sample = census(f, prime_budget)
-    cands = list(candidates) if candidates is not None else standard_candidates(f.degree)
-    hyps = identify(sample, cands)
+    hyps = identify(sample, standard_candidates(f.degree))
     matched = [h for h in hyps if h.matched]
     if not matched:
         return None, sample, hyps
@@ -335,8 +333,8 @@ def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def _escape_indices(g: int, min_r: int) -> dict[int, list[int]]:
-    """Map m -> list of r with r | g, r >= min_r, m = r / 2^j > 1.
+def _escape_indices(g: int) -> dict[int, list[int]]:
+    """Map m -> list of r with r | g, r > 1, m = r / 2^j > 1.
 
     These are the subgroup indices whose absence defeats the
     product-decomposition escape clauses at the prime 2 (conservative
@@ -344,7 +342,7 @@ def _escape_indices(g: int, min_r: int) -> dict[int, list[int]]:
     """
     out: dict[int, list[int]] = {}
     for r in _divisors(g):
-        if r < min_r or r == 1:
+        if r == 1:
             continue
         m = r
         while m > 1:
@@ -434,7 +432,7 @@ def _center_analysis(ctx: _Ctx) -> CenterAnalysis:
 
     # Route 1: field commutant forces the center to be a field unless an
     # escape index is realized by a proper subgroup.
-    escapes = _escape_indices(g, min_r=2)
+    escapes = _escape_indices(g)
     live_rs, undecided = _scan_escapes(ctx, escapes)
     if undecided is not None:
         blocked = f"subgroup of index {undecided} undecided"
@@ -497,19 +495,9 @@ def _center_analysis(ctx: _Ctx) -> CenterAnalysis:
                 )
             )
         if no_idx2 is True and no_norm is True:
-            # index 2 is already decided (absent), so asking it again is free
-            live2, undecided = _scan_escapes(ctx, _escape_indices(g, min_r=3))
-            if undecided is not None:
-                center_is_q = "unknown"
-                entries.append(
-                    _entry(
-                        "product-decomposition escape (r > 2 dividing the genus)",
-                        "unknown",
-                        "bounded subgroup search",
-                        f"index {undecided} undecided",
-                    )
-                )
-            elif not live2:
+            # the r > 2 escape indices are among those Route 1 decided
+            live2 = {r for r in live_rs if r > 2}
+            if not live2:
                 center_is_q = True
                 entries.append(
                     _entry(
@@ -520,8 +508,6 @@ def _center_analysis(ctx: _Ctx) -> CenterAnalysis:
                     )
                 )
             else:
-                center_is_q = "unknown"
-                live_product_dims = sorted(set(live_product_dims) | {g // r for r in live2})
                 entries.append(
                     _entry(
                         "product-decomposition escape (r > 2 dividing the genus) is live",
@@ -696,7 +682,7 @@ def _refine_center_q(
                 f"genus {g} odd: every factor dimension is odd",
             )
         )
-    if char > 0 and order % char != 0 and _divisors(g):
+    if char > 0 and order % char != 0:
         entries.append(
             _entry(
                 f"quaternionic branch excluded: characteristic {char} does not divide the group order",
@@ -917,9 +903,7 @@ def _generic_rule(
             )
         )
         return Verdict(Outcome.END0_SIMPLE_Q_ALGEBRA, entries, caveats)
-    return _inconclusive(
-        entries, caveats, analysis.blocked or "no center conclusion is available"
-    )
+    return _inconclusive(entries, caveats, "no center conclusion is available")
 
 
 # -- family rules -------------------------------------------------------------------
@@ -1085,16 +1069,14 @@ def hom_pair_analysis(
     h: IntPoly,
     char: int,
     prime_budget: int = DEFAULT_PRIME_BUDGET,
-    candidates_f: Optional[Sequence[PermGroup]] = None,
-    candidates_h: Optional[Sequence[PermGroup]] = None,
 ) -> Verdict:
     """Do the two jacobians admit no nonzero homomorphisms?
 
-    The transitivity hypotheses are checked on the identified (or
-    supplied) Galois groups; linear disjointness of the splitting fields
-    has no desk-scale exact test and is assessed heuristically through the
-    independence of the joint degree-partition census, so that entry is
-    always flagged heuristic.
+    The transitivity hypotheses are checked on the identified Galois
+    groups; linear disjointness of the splitting fields has no desk-scale
+    exact test and is assessed heuristically through the independence of
+    the joint degree-partition census, so that entry is always flagged
+    heuristic.
     """
     _validate_char(char)
     if f.degree < 3 or h.degree < 3:
@@ -1114,8 +1096,8 @@ def hom_pair_analysis(
     ]
     caveats: list[str] = []
     samples = []
-    for label, poly, cands in (("first", f, candidates_f), ("second", h, candidates_h)):
-        case, sample, hyps = case_from_polynomial(poly, char, prime_budget, cands)
+    for label, poly in (("first", f), ("second", h)):
+        case, sample, hyps = case_from_polynomial(poly, char, prime_budget)
         samples.append(sample)
         if case is None:
             entries.append(

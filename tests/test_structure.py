@@ -13,6 +13,7 @@ from endocert.permgroup import (
     PermGroup,
     families as fam,
 )
+from endocert.permgroup import structure
 from endocert.permgroup.chain import StabilizerChain
 from endocert.permgroup.structure import simplicity_is_cheap
 
@@ -113,11 +114,35 @@ class TestSimplicity:
         assert is_simple(fam.cyclic_group(7)) is True
         assert is_simple(fam.cyclic_group(6)) is False
 
-    def test_randomized_path_is_honest(self):
-        # force the randomized path with a tiny bound: it can refute but
-        # never affirm
-        assert is_simple(fam.symmetric_group(5), bound=10) is False
-        assert is_simple(fam.alternating_group(5), bound=10) == "unknown"
+    def test_randomized_path_is_honest(self, monkeypatch):
+        # above the bound only parity can refute; nothing is affirmed
+        monkeypatch.setattr(structure, "EXHAUSTIVE_BOUND", 10)
+        assert is_simple(fam.symmetric_group(5)) is False
+        assert is_simple(fam.alternating_group(5)) == "unknown"
+
+    def test_above_bound_answers_unknown_without_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumeration or normal closure above the bound")
+
+        monkeypatch.setattr(structure, "normal_closure", refuse)
+        monkeypatch.setattr(StabilizerChain, "elements", refuse)
+        a10 = fam.alternating_group(10)
+        assert a10.order() > structure.EXHAUSTIVE_BOUND
+        assert is_simple(a10) == "unknown"
+        assert a10._simple == "unknown"
+
+    def test_class_enumeration_inverts_each_generator_once(self, monkeypatch):
+        calls = []
+        invert = structure._invert
+
+        def counted(t):
+            calls.append(t)
+            return invert(t)
+
+        monkeypatch.setattr(structure, "_invert", counted)
+        m11 = fam.mathieu_group(11)
+        assert len(conjugacy_class_representatives(m11)) == 10
+        assert len(calls) <= len(m11.generators)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(small_subgroups())
