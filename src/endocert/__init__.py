@@ -14,7 +14,6 @@ from .fflin import (
     centralizer_basis,
     double_centralizer_check,
     kernel,
-    rank,
     rref,
 )
 from .permgroup import (
@@ -82,6 +81,5 @@ __all__ = [
     "min_proper_subgroup_index",
     "multiplication_bound",
     "psl2_subgroup_criterion",
-    "rank",
     "rref",
 ]

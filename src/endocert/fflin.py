@@ -5,10 +5,15 @@ so elimination and products run word-parallel over the whole row.  The
 independent reference for elimination is the scalar oracle in the tests.
 
 On top of the matrices sit unital subalgebras of M_d(F_2) given by a
-basis: centralizers of a matrix set (a Sylvester-type kernel in the d^2
-unknowns of X, column-major X11, X21, ...), generated subalgebras via
+basis: centralizers of a matrix set, generated subalgebras via
 span-closure under products, a purely linear-algebra field test through
 the iterated Frobenius map, and the double-centralizer property check.
+
+A centralizer is found by spinning e_0 under the matrices.  When e_0
+spans F_2^d (a cyclic module) an element X is fixed by X e_0, and the
+relations met while spinning give a kernel in d unknowns.  Otherwise a
+Sylvester-type kernel in the d^2 unknowns of X (column-major X11, X21,
+...) gives it.  Both yield the same fully reduced echelon basis.
 """
 
 from __future__ import annotations
@@ -45,17 +50,10 @@ class MatF:
     def identity(cls, n: int) -> "MatF":
         return cls(n, n, tuple(1 << i for i in range(n)))
 
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "MatF":
-        return cls(nrows, ncols, (0,) * nrows)
-
     # -- element access -------------------------------------------------------
 
     def entry(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
-
-    def to_entries(self) -> list[list[int]]:
-        return [[self.entry(i, j) for j in range(self.ncols)] for i in range(self.nrows)]
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -191,10 +189,6 @@ def kernel(m: MatF) -> list[int]:
     return basis
 
 
-def rank(m: MatF) -> int:
-    return rref(m).rank
-
-
 # -- vector spans over F_2 ---------------------------------------------------------
 
 
@@ -269,16 +263,6 @@ class FSubalgebra:
             self._span.add(v)
         if not verified:
             self._verify()
-
-    # construction helpers
-
-    @classmethod
-    def from_matrices(cls, mats: Sequence[MatF], *, verified: bool = False) -> "FSubalgebra":
-        return cls(_square_size(mats), [m.vec() for m in mats], verified=verified)
-
-    @classmethod
-    def full_matrix_algebra(cls, d: int) -> "FSubalgebra":
-        return cls(d, [1 << u for u in range(d * d)], verified=True)
 
     def _verify(self) -> None:
         ident = MatF.identity(self.d).vec()
@@ -385,12 +369,63 @@ class FSubalgebra:
         return FSubalgebra(self.d, center_vecs, verified=True)
 
 
-def centralizer_basis(mats: Sequence[MatF]) -> FSubalgebra:
-    """Subalgebra {X : XM = MX for every M in mats} of M_d(F_2).
+def _apply(m: MatF, v: int) -> int:
+    """The column vector m @ v, with v and the result as bitsets."""
+    out = 0
+    for i, row in enumerate(m.rows):
+        out |= ((row & v).bit_count() & 1) << i
+    return out
 
-    Computed as the kernel of the stacked Sylvester system in the d^2
-    unknowns of X (column-major: X[r, c] is bit c*d + r); the result's
-    multiplicative closure is verified.
+
+def _spin_commutant(mats: Sequence[MatF], d: int) -> Optional[list[int]]:
+    """Commutant vectors from spinning e_0, or None if e_0 does not span.
+
+    Each new vector b = W e_0 keeps its word matrix W, and each echelon
+    row r a matrix M of the algebra with M e_0 = r.  A product A b that
+    reduces to zero gives R = A W + sum(M) with R e_0 = 0, so every
+    commutant element X has R x = 0 for x = X e_0.  When the span is all
+    of F_2^d the fully reduced rows are the unit vectors e_c, and the
+    commutant element of a kernel vector x has columns X e_c = M_c x.
+    """
+    words = [MatF.identity(d)]
+    rows, pivots, combos = [1], [0], [words[0]]
+    # a set: the kernel depends only on the span of the relation rows
+    relations: set[int] = set()
+    for w in words:  # grows while walked: breadth-first spinning
+        for a in mats:
+            aw = m = a @ w
+            v = _apply(m, 1)
+            for r, p, c in zip(rows, pivots, combos):
+                if (v >> p) & 1:
+                    v ^= r
+                    m = m + c
+            if v == 0:
+                relations.update(m.rows)
+                continue
+            p = (v & -v).bit_length() - 1
+            for idx in range(len(rows)):
+                if (rows[idx] >> p) & 1:
+                    rows[idx] ^= v
+                    combos[idx] = combos[idx] + m
+            pos = next((k for k, q in enumerate(pivots) if q > p), len(pivots))
+            rows.insert(pos, v)
+            pivots.insert(pos, p)
+            combos.insert(pos, m)
+            words.append(aw)
+    if len(rows) < d:
+        return None
+    relations.discard(0)
+    return [
+        sum(_apply(c, x) << (col * d) for col, c in enumerate(combos))
+        for x in kernel(MatF(len(relations), d, tuple(relations)))
+    ]
+
+
+def _sylvester_centralizer(mats: Sequence[MatF]) -> FSubalgebra:
+    """The commutant as the kernel of the stacked Sylvester system.
+
+    d^2 unknowns, the entries of X (column-major: X[r, c] is bit c*d + r),
+    and d^2 rows per matrix.  The fallback for non-cyclic modules.
     """
     d = _square_size(mats)
     rows = []
@@ -405,6 +440,26 @@ def centralizer_basis(mats: Sequence[MatF]) -> FSubalgebra:
                     row ^= ((ar[i] >> k) & 1) << (j * d + k)
                 rows.append(row)
     return FSubalgebra(d, kernel(MatF(len(rows), d * d, tuple(rows))))
+
+
+def centralizer_basis(mats: Sequence[MatF]) -> FSubalgebra:
+    """Subalgebra {X : XM = MX for every M in mats} of M_d(F_2).
+
+    Spins e_0 under the matrices first (the MeatAxe method: Parker 1984;
+    Holt-Rees 1994).  When e_0 spans F_2^d the module is cyclic and a
+    commutant element X is fixed by x = X e_0, so one kernel in d
+    unknowns gives the algebra.  Otherwise the Sylvester kernel in d^2
+    unknowns does.  Either way the algebra's basis is the fully reduced
+    echelon basis of the same subspace, its multiplicative closure is
+    verified, and each basis matrix is checked to commute with the input.
+    """
+    d = _square_size(mats)
+    vecs = _spin_commutant(mats, d)
+    algebra = _sylvester_centralizer(mats) if vecs is None else FSubalgebra(d, vecs)
+    for b in algebra.basis_matrices():
+        if any(b @ a != a @ b for a in mats):
+            raise ValueError("centralizer basis does not commute with the input")
+    return algebra
 
 
 def algebra_closure(seed: Sequence[MatF]) -> FSubalgebra:

@@ -54,6 +54,11 @@ def dense_rref_mod_p(entries, p):
     return rows, r, pivots
 
 
+def matrix_entries(m):
+    """The 0/1 entries of a packed-row matrix as a list of row lists."""
+    return [[(row >> j) & 1 for j in range(m.ncols)] for row in m.rows]
+
+
 def all_4x4_gf2_matrices():
     for code in range(1 << 16):
         yield tuple((code >> (4 * i)) & 15 for i in range(4))

@@ -6,11 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from endocert import cli
+from endocert import cli, fflin
 from endocert.cli import EXIT_OK, EXIT_USAGE, main
+from endocert.fflin import MatF
 from endocert.permgroup import StabilizerChain, structure
 from endocert.permgroup import families as fam
-from endocert.repmod import heart_centralizer
+from endocert.repmod import CentralizerClass, heart_centralizer
 from endocert.verdict import analyze_jacobian, case_from_group, engine
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -249,6 +250,40 @@ class TestWorkCounts:
         )
         assert code == EXIT_OK and "# heart commutant" in out
         assert len(calls) == 1
+
+
+class TestSpinningWorkCounts:
+    """The heart commutants of the big bench groups never need the d^2 kernel."""
+
+    @pytest.fixture
+    def sylvester_calls(self, monkeypatch):
+        calls = []
+        sylvester = fflin._sylvester_centralizer
+
+        def counted(mats):
+            calls.append(len(mats))
+            return sylvester(mats)
+
+        monkeypatch.setattr(fflin, "_sylvester_centralizer", counted)
+        return calls
+
+    @pytest.mark.parametrize("build, dim, cls", [
+        (lambda: fam.mathieu_group(22), 1, CentralizerClass.SCALARS),
+        (lambda: fam.mathieu_group(23), 1, CentralizerClass.SCALARS),
+        (lambda: fam.mathieu_group(24), 1, CentralizerClass.SCALARS),
+        (lambda: fam.symmetric_group(24), 1, CentralizerClass.SCALARS),
+        (lambda: fam.alternating_group(24), 1, CentralizerClass.SCALARS),
+        # F_2 x F_2: the heart has two non-isomorphic summands
+        (lambda: fam.psl2(25), 2, CentralizerClass.NON_FIELD),
+    ], ids=["M22", "M23", "M24", "S24", "A24", "PSL2_25"])
+    def test_bench_hearts_are_spun(self, sylvester_calls, build, dim, cls):
+        report = heart_centralizer(build())
+        assert (report.dim, report.classification) == (dim, cls)
+        assert sylvester_calls == []
+
+    def test_identity_input_reaches_the_fallback(self, sylvester_calls):
+        assert fflin.centralizer_basis([MatF.identity(4)]).dim == 16
+        assert sylvester_calls == [1]
 
 
 def test_reader_closing_early_is_quiet():

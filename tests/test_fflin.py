@@ -1,8 +1,9 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from endocert import fflin
 from endocert.fflin import (
     FSubalgebra,
     MatF,
@@ -11,12 +12,17 @@ from endocert.fflin import (
     double_centralizer_check,
     format_matrix,
     kernel,
-    rank,
     rref,
 )
 from endocert.permgroup import Perm
+from endocert.permgroup import families as fam
 from endocert.repmod import act, build_heart
-from oracles import brute_force_commutant_4x4, dense_rref_mod_p, subalgebra_elements
+from oracles import (
+    brute_force_commutant_4x4,
+    dense_rref_mod_p,
+    matrix_entries,
+    subalgebra_elements,
+)
 
 
 def mat_strategy(rows, cols):
@@ -34,14 +40,14 @@ class TestElimination:
         assert kernel(MatF.identity(3)) == []
 
     def test_zero_matrix(self):
-        z = MatF.zeros(2, 3)
-        assert rank(z) == 0
+        z = MatF(2, 3, (0, 0))
+        assert rref(z).rank == 0
         assert kernel(z) == [1, 2, 4]
 
     def test_five_cycle_heart_matrix_invertible(self):
         heart = build_heart(5)
         m = act(heart, Perm.parse("(1 2 3 4 5)", 5))
-        assert rank(m) == 4
+        assert rref(m).rank == 4
 
     @given(mat_strategy(4, 5))
     @settings(max_examples=60)
@@ -55,10 +61,10 @@ class TestElimination:
     @settings(max_examples=60)
     def test_packed_path_agrees_with_scalar_oracle(self, m):
         e = rref(m)
-        rows, r, pivots = dense_rref_mod_p(m.to_entries(), 2)
+        rows, r, pivots = dense_rref_mod_p(matrix_entries(m), 2)
         assert e.rank == r
         assert tuple(e.pivots) == tuple(pivots)
-        assert e.matrix.to_entries() == [[x % 2 for x in row] for row in rows]
+        assert matrix_entries(e.matrix) == [[x % 2 for x in row] for row in rows]
 
     @given(mat_strategy(3, 5))
     @settings(max_examples=60)
@@ -133,11 +139,89 @@ class TestCentralizer:
         for _ in range(5):
             while True:
                 p = MatF(4, 4, tuple(rng.randrange(16) for _ in range(4)))
-                if rank(p) == 4:
+                if rref(p).rank == 4:
                     break
             pinv_entries = _invert_gf2(p)
             conj = pinv_entries @ m @ p
             assert centralizer_basis([conj]).dim == base_dim
+
+
+@st.composite
+def heart_actions(draw):
+    """Heart matrices of a permutation group of degree 3..13.
+
+    Transitive groups contain a relabelled n-cycle; intransitive ones
+    preserve a split of the points into two nonempty parts.
+    """
+    n = draw(st.integers(3, 13))
+    labels = draw(st.permutations(range(n)))
+    if draw(st.booleans()):
+        cycle = [0] * n
+        for i in range(n):
+            cycle[labels[i]] = labels[(i + 1) % n]
+        gens = [cycle] + draw(st.lists(st.permutations(range(n)), max_size=2))
+    else:
+        cut = draw(st.integers(1, n - 1))
+        parts = labels[:cut], labels[cut:]
+        gens = []
+        for _ in range(draw(st.integers(1, 3))):
+            g = [0] * n
+            for part in parts:
+                for a, b in zip(part, draw(st.permutations(part))):
+                    g[a] = b
+            gens.append(g)
+    heart = build_heart(n)
+    return [act(heart, Perm(tuple(g))) for g in gens]
+
+
+@st.composite
+def matrix_tuples(draw):
+    d = draw(st.integers(1, 8))
+    rows = st.tuples(*[st.integers(0, (1 << d) - 1)] * d)
+    return [MatF(d, d, r) for r in draw(st.lists(rows, min_size=1, max_size=3))]
+
+
+def _heart_of(group_gens, n):
+    heart = build_heart(n)
+    return [act(heart, p) for p in group_gens]
+
+
+class TestSpinningAgainstSylvester:
+    """The spinning path returns the Sylvester kernel's echelon basis."""
+
+    @given(st.one_of(heart_actions(), matrix_tuples()))
+    @settings(max_examples=150, deadline=None)
+    @example([MatF.identity(4)])
+    @example(_heart_of([Perm.parse("(1 2 3 4 5)", 5)], 5))
+    @example(_heart_of(fam.psl2(13).generators, 14))
+    @example(_heart_of([Perm.parse("(1 2 3 4)(5 6 7 8)", 8)], 8))
+    def test_same_echelon_basis(self, mats):
+        spun = centralizer_basis(mats)
+        assert spun._span.rows == fflin._sylvester_centralizer(mats)._span.rows
+
+    def test_non_cyclic_heart_falls_back(self):
+        mats = _heart_of([Perm.parse("(1 2 3 4)(5 6 7 8)", 8)], 8)
+        assert fflin._spin_commutant(mats, 6) is None
+        assert centralizer_basis(mats).dim == 12
+
+    def test_non_commuting_result_is_rejected(self, monkeypatch):
+        # a spinning fault that returns the identity plus a non-commuting
+        # idempotent still passes the closure check, so only the
+        # commutation check can catch it
+        e11 = MatF.from_entries([[1, 0], [0, 0]])
+        monkeypatch.setattr(
+            fflin, "_spin_commutant", lambda mats, d: [MatF.identity(2).vec(), e11.vec()]
+        )
+        with pytest.raises(ValueError, match="does not commute"):
+            centralizer_basis([MatF.from_entries([[0, 1], [1, 0]])])
+
+
+def _subalgebra(mats):
+    return FSubalgebra(mats[0].nrows, [m.vec() for m in mats])
+
+
+def _full_matrix_algebra(d):
+    return FSubalgebra(d, [1 << u for u in range(d * d)], verified=True)
 
 
 def _invert_gf2(p: MatF) -> MatF:
@@ -193,7 +277,7 @@ class TestAlgebraClosure:
 
 class TestFieldTest:
     def test_scalars(self):
-        alg = FSubalgebra.from_matrices([MatF.identity(3)])
+        alg = _subalgebra([MatF.identity(3)])
         assert alg.field_test() == (True, 2)
 
     def test_f4_by_companion(self):
@@ -209,16 +293,16 @@ class TestFieldTest:
         assert alg.field_test() == (False, None)
 
     def test_noncommutative_is_not_a_field(self):
-        alg = FSubalgebra.full_matrix_algebra(2)
+        alg = _full_matrix_algebra(2)
         assert alg.field_test() == (False, None)
 
 
 class TestDoubleCentralizer:
     def test_full_algebra(self):
-        assert double_centralizer_check(FSubalgebra.full_matrix_algebra(2))
+        assert double_centralizer_check(_full_matrix_algebra(2))
 
     def test_scalars_in_m3_f2(self):
-        alg = FSubalgebra.from_matrices([MatF.identity(3)])
+        alg = _subalgebra([MatF.identity(3)])
         assert double_centralizer_check(alg)
 
     def test_c5_heart_group_algebra(self):
@@ -239,4 +323,4 @@ def test_closure_violation_fails_loudly():
     e12 = MatF.from_entries([[0, 1], [0, 0]])
     e21 = MatF.from_entries([[0, 0], [1, 0]])
     with pytest.raises(ValueError):
-        FSubalgebra.from_matrices([MatF.identity(2), e12, e21])
+        _subalgebra([MatF.identity(2), e12, e21])
