@@ -9,11 +9,11 @@ basis: centralizers of a matrix set, generated subalgebras via
 span-closure under products, a purely linear-algebra field test through
 the iterated Frobenius map, and the double-centralizer property check.
 
-A centralizer is found by spinning e_0 under the matrices.  When e_0
-spans F_2^d (a cyclic module) an element X is fixed by X e_0, and the
-relations met while spinning give a kernel in d unknowns.  Otherwise a
-Sylvester-type kernel in the d^2 unknowns of X (column-major X11, X21,
-...) gives it.  Both yield the same fully reduced echelon basis.
+A centralizer is found by spinning unit vectors under the matrices:
+e_0 first, then the first unit vector outside the span each time the
+spin stops short of F_2^d.  An element X is fixed by its images of the
+k seeds, and the relations met while spinning give a kernel in k*d
+unknowns (k = 1 when e_0 alone spans, a cyclic module).
 """
 
 from __future__ import annotations
@@ -377,24 +377,40 @@ def _apply(m: MatF, v: int) -> int:
     return out
 
 
-def _spin_commutant(mats: Sequence[MatF], d: int) -> Optional[list[int]]:
-    """Commutant vectors from spinning e_0, or None if e_0 does not span.
+def _spin_commutant(mats: Sequence[MatF], d: int) -> list[int]:
+    """Commutant vectors from spinning unit vectors under the matrices.
 
-    Each new vector b = W e_0 keeps its word matrix W, and each echelon
-    row r a matrix M of the algebra with M e_0 = r.  A product A b that
-    reduces to zero gives R = A W + sum(M) with R e_0 = 0, so every
-    commutant element X has R x = 0 for x = X e_0.  When the span is all
-    of F_2^d the fully reduced rows are the unit vectors e_c, and the
-    commutant element of a kernel vector x has columns X e_c = M_c x.
+    Seed j is a unit vector e_i with its own unknowns x_j = X e_i: e_0
+    first, then the first unit vector outside the span each time the
+    spin stops short of F_2^d.  The stacked seeds u and unknowns x hold
+    seed j in bits j*d .. j*d + d - 1.  Each new vector b = W u keeps its
+    word matrix W (d x d^2: there are at most d seeds), and each echelon
+    row r a sum M of words with M u = r; seed j's word is the identity
+    in column block j.  A commutant element X has X (W u) = W x, so a
+    product A b that reduces to zero gives R = A W + sum(M) with R u = 0
+    and hence R x = 0.  The fully reduced rows end as the unit vectors
+    e_c, and the element of a kernel vector x has columns X e_c = M_c x.
     """
-    words = [MatF.identity(d)]
-    rows, pivots, combos = [1], [0], [words[0]]
+    rows: list[int] = []
+    pivots: list[int] = []
+    combos: list[MatF] = []
+    words: list[MatF] = []
     # a set: the kernel depends only on the span of the relation rows
     relations: set[int] = set()
-    for w in words:  # grows while walked: breadth-first spinning
-        for a in mats:
-            aw = m = a @ w
-            v = _apply(m, 1)
+    seeds = 0  # the stacked seed vector: bit j*d + i when e_i is seed j
+    walked = 0
+    while walked < len(words) or len(rows) < d:
+        if walked < len(words):  # breadth-first spinning
+            products = [a @ words[walked] for a in mats]
+            walked += 1
+        else:
+            i = next(i for i in range(d) if 1 << i not in rows)
+            block = seeds.bit_count() * d
+            seeds |= 1 << (block + i)
+            products = [MatF(d, d * d, tuple(1 << (block + r) for r in range(d)))]
+        for aw in products:
+            m = aw
+            v = _apply(m, seeds)
             for r, p, c in zip(rows, pivots, combos):
                 if (v >> p) & 1:
                     v ^= r
@@ -412,50 +428,27 @@ def _spin_commutant(mats: Sequence[MatF], d: int) -> Optional[list[int]]:
             pivots.insert(pos, p)
             combos.insert(pos, m)
             words.append(aw)
-    if len(rows) < d:
-        return None
     relations.discard(0)
     return [
         sum(_apply(c, x) << (col * d) for col, c in enumerate(combos))
-        for x in kernel(MatF(len(relations), d, tuple(relations)))
+        for x in kernel(MatF(len(relations), seeds.bit_count() * d, tuple(relations)))
     ]
-
-
-def _sylvester_centralizer(mats: Sequence[MatF]) -> FSubalgebra:
-    """The commutant as the kernel of the stacked Sylvester system.
-
-    d^2 unknowns, the entries of X (column-major: X[r, c] is bit c*d + r),
-    and d^2 rows per matrix.  The fallback for non-cyclic modules.
-    """
-    d = _square_size(mats)
-    rows = []
-    for a in mats:
-        ar = a.rows
-        for i in range(d):
-            for j in range(d):
-                # (XA - AX)[i][j] = sum_k X[i,k] A[k,j] - A[i,k] X[k,j]
-                row = 0
-                for k in range(d):
-                    row ^= ((ar[k] >> j) & 1) << (k * d + i)
-                    row ^= ((ar[i] >> k) & 1) << (j * d + k)
-                rows.append(row)
-    return FSubalgebra(d, kernel(MatF(len(rows), d * d, tuple(rows))))
 
 
 def centralizer_basis(mats: Sequence[MatF]) -> FSubalgebra:
     """Subalgebra {X : XM = MX for every M in mats} of M_d(F_2).
 
-    Spins e_0 under the matrices first (the MeatAxe method: Parker 1984;
-    Holt-Rees 1994).  When e_0 spans F_2^d the module is cyclic and a
-    commutant element X is fixed by x = X e_0, so one kernel in d
-    unknowns gives the algebra.  Otherwise the Sylvester kernel in d^2
-    unknowns does.  Either way the algebra's basis is the fully reduced
-    echelon basis of the same subspace, its multiplicative closure is
-    verified, and each basis matrix is checked to commute with the input.
+    Spins unit vectors under the matrices (the MeatAxe method: Parker
+    1984; Holt, Eick and O'Brien 2005, section 7.5), one seed more each
+    time the span stops short of F_2^d.  A commutant element X is fixed
+    by its images of the k seeds, so one kernel in k*d unknowns gives the
+    algebra, with k = 1 on a module cyclic from e_0.  The algebra's basis
+    is the fully reduced echelon basis of that subspace, its
+    multiplicative closure is verified, and each basis matrix is checked
+    to commute with the input.
     """
     d = _square_size(mats)
-    vecs = _spin_commutant(mats, d)
-    algebra = _sylvester_centralizer(mats) if vecs is None else FSubalgebra(d, vecs)
+    algebra = FSubalgebra(d, _spin_commutant(mats, d))
     for b in algebra.basis_matrices():
         if any(b @ a != a @ b for a in mats):
             raise ValueError("centralizer basis does not commute with the input")

@@ -14,7 +14,7 @@ from typing import Literal, Optional, Sequence
 
 from .chain import StabilizerChain
 from .groups import EXHAUSTIVE_BOUND, SUBGROUP_LATTICE_BOUND, PermGroup
-from .perms import Perm, _compose, _invert
+from .perms import Perm, _invert
 
 TriState = Literal[True, False, "unknown"]
 
@@ -38,7 +38,7 @@ def normal_closure(ambient: PermGroup, seeds: Sequence[Perm]) -> PermGroup:
     while queue:
         x = queue.pop()
         for g, ginv in conjugators:
-            y = _compose(ginv, _compose(x, g))
+            y = tuple([ginv[x[j]] for j in g])
             if not chain.contains(y):
                 chain.add_generator(y)
                 closure_gens.append(y)
@@ -102,7 +102,7 @@ def conjugacy_class_representatives(group: PermGroup) -> Optional[list[Perm]]:
         while frontier:
             x = frontier.pop()
             for g, ginv in conjugators:
-                y = _compose(ginv, _compose(x, g))
+                y = tuple([ginv[x[j]] for j in g])
                 yk = bytes(y)
                 if yk not in classified:
                     classified.add(yk)

@@ -216,19 +216,15 @@ def _descent_applies(group: PermGroup, r: int) -> bool:
 
 
 def has_proper_subgroup_of_index(
-    group: PermGroup, r: int, shortcut: bool = True
+    group: PermGroup, r: int
 ) -> tuple[TriState, Optional[tuple[Perm, ...]], SearchMethod]:
-    """Decide existence of a proper subgroup of index exactly r.
-
-    ``shortcut=False`` skips the descent rule (step 2) so the
-    backtrack can serve as an independent oracle for it.
-    """
+    """Decide existence of a proper subgroup of index exactly r."""
     if r < 2:
         raise ValueError("index must be >= 2")
     order = group.order()
     if order % r != 0:
         return False, None, "lagrange-shortcut"
-    if shortcut and _descent_applies(group, r):
+    if _descent_applies(group, r):
         # every index-r subgroup contains N, so r = |G/N| = 2 or none exists
         if r == 2 and group.even_part is not group:
             return True, group.even_part.generators, "lagrange-shortcut"

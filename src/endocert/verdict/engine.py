@@ -48,6 +48,9 @@ from .glz import gl_has_element_of_order
 
 SCHEMA_VERSION = 1
 
+#: How every heart commutant in a checklist was computed (fflin.centralizer_basis).
+_COMMUTANT_METHOD = "computed: commutant by spinning unit vectors over F_2"
+
 Status = Literal["verified", "failed", "assumed", "heuristic", "unknown"]
 
 
@@ -415,7 +418,7 @@ def _center_analysis(ctx: _Ctx) -> CenterAnalysis:
         _entry(
             "commutant of the mod-2 Galois image on the heart computed",
             "verified",
-            "computed: Sylvester-system kernel over F_2",
+            _COMMUTANT_METHOD,
             f"dimension {report.dim}; {desc}",
         )
     )
@@ -930,7 +933,7 @@ def _rule_alternating(ctx: _Ctx, char, entries, caveats) -> Verdict:
         _entry(
             "heart commutant is the scalar field F_2",
             "verified",
-            "computed: Sylvester-system kernel; " + fact("klemm-criterion").citation,
+            _COMMUTANT_METHOD + "; " + fact("klemm-criterion").citation,
             "dimension 1",
         )
     )
@@ -1002,8 +1005,7 @@ def _rule_psl2_natural(ctx: _Ctx, char, entries, caveats, q: int) -> Verdict:
             _entry(
                 "heart commutant is the field with 4 elements",
                 "verified" if consistent else "failed",
-                "computed: Sylvester-system kernel; "
-                + fact("mortimer-psl2-heart").citation,
+                _COMMUTANT_METHOD + "; " + fact("mortimer-psl2-heart").citation,
                 f"dimension {report.dim}",
             )
         )
@@ -1025,7 +1027,7 @@ def _rule_psl2_natural(ctx: _Ctx, char, entries, caveats, q: int) -> Verdict:
         _entry(
             "heart commutant computed (q = +-1 mod 8: no field classification applies)",
             "verified",
-            "computed: Sylvester-system kernel",
+            _COMMUTANT_METHOD,
             f"classification {report.classification.value}, dimension {report.dim}",
         )
     )

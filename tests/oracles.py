@@ -2,16 +2,20 @@
 
 Everything here deliberately avoids the production code paths it checks:
 plain closure enumeration instead of stabilizer chains, dense scalar
-elimination instead of bit-packed rows, exhaustive matrix enumeration
-instead of Sylvester kernels, Fraction-based Euclid instead of the
-subresultant gcd, and a square-and-multiply ladder for every x^(p^d)
-instead of the Frobenius matrix.
+elimination instead of bit-packed rows, exhaustive matrix enumeration and
+the Sylvester kernel in d^2 unknowns instead of spinning, the action
+backtrack alone instead of the index-search ladder, Fraction-based Euclid
+instead of the subresultant gcd, and a square-and-multiply ladder for
+every x^(p^d) instead of the Frobenius matrix.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+
+from endocert.fflin import FSubalgebra, MatF, kernel
+from endocert.permgroup import subsearch
 
 
 def closure_order(degree, generators, limit=10**6):
@@ -87,6 +91,38 @@ def brute_force_commutant_4x4(gen_rows_list):
         ):
             out.append(cand)
     return out
+
+
+def sylvester_centralizer(mats):
+    """The commutant as the kernel of the stacked Sylvester system.
+
+    d^2 unknowns, the entries of X (column-major: X[r, c] is bit c*d + r),
+    and d^2 rows per matrix.
+    """
+    d = mats[0].nrows
+    rows = []
+    for a in mats:
+        ar = a.rows
+        for i in range(d):
+            for j in range(d):
+                # (XA - AX)[i][j] = sum_k X[i,k] A[k,j] - A[i,k] X[k,j]
+                row = 0
+                for k in range(d):
+                    row ^= ((ar[k] >> j) & 1) << (k * d + i)
+                    row ^= ((ar[i] >> k) & 1) << (j * d + k)
+                rows.append(row)
+    return FSubalgebra(d, kernel(MatF(len(rows), d * d, tuple(rows))))
+
+
+def backtrack_has_index(group, r):
+    """Whether G has a subgroup of index r <= 8: Lagrange, then the backtrack.
+
+    Without the normal-subgroup descent, so it checks that rule independently.
+    """
+    assert r <= subsearch.BACKTRACK_MAX_INDEX
+    if group.order() % r:
+        return False
+    return subsearch._homomorphism_search(group, r) is not None
 
 
 def rational_poly_gcd_degree(f_coeffs, g_coeffs):

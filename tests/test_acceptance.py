@@ -21,7 +21,6 @@ from endocert.permgroup import (
     Perm,
     PermGroup,
     families as fam,
-    has_proper_subgroup_of_index,
     is_solvable,
     min_proper_subgroup_index,
     psl2_subgroup_criterion,
@@ -35,7 +34,12 @@ from endocert.verdict import (
     gl_has_element_of_order,
     matrix_order_is,
 )
-from oracles import classify_commutative_gf2, matrix_entries, subalgebra_elements
+from oracles import (
+    backtrack_has_index,
+    classify_commutative_gf2,
+    matrix_entries,
+    subalgebra_elements,
+)
 
 
 def _report(criterion: str) -> None:
@@ -124,11 +128,9 @@ def test_criterion_04_subgroup_criterion_cross_validation():
             report = min_proper_subgroup_index(group, bound)
             assert report.found_index is None, q
             assert report.decided
-        # independent: the action backtrack itself, shortcut disabled
+        # independent: the action backtrack itself, no descent rule
         for r in range(2, min(bound, 6) + 1):
-            ans, _, method = has_proper_subgroup_of_index(group, r, shortcut=False)
-            assert ans is False, (q, r)
-            assert method in ("lagrange-shortcut", "action-backtrack")
+            assert backtrack_has_index(group, r) is False, (q, r)
     _report(
         "criterion 4: subgroup-index criterion agrees with the bounded search "
         "for q in {5, 7, 9, 11, 13}, backtrack completing for bound <= 6"

@@ -9,7 +9,7 @@ import pytest
 from endocert import cli, fflin
 from endocert.cli import EXIT_OK, EXIT_USAGE, main
 from endocert.fflin import MatF
-from endocert.permgroup import StabilizerChain, structure
+from endocert.permgroup import Perm, PermGroup, StabilizerChain, structure
 from endocert.permgroup import families as fam
 from endocert.repmod import CentralizerClass, heart_centralizer
 from endocert.verdict import analyze_jacobian, case_from_group, engine
@@ -253,19 +253,19 @@ class TestWorkCounts:
 
 
 class TestSpinningWorkCounts:
-    """The heart commutants of the big bench groups never need the d^2 kernel."""
+    """The commutant kernel has k*d columns for k seeds: d on every bench heart."""
 
     @pytest.fixture
-    def sylvester_calls(self, monkeypatch):
-        calls = []
-        sylvester = fflin._sylvester_centralizer
+    def kernel_widths(self, monkeypatch):
+        widths = []
+        kernel = fflin.kernel
 
-        def counted(mats):
-            calls.append(len(mats))
-            return sylvester(mats)
+        def recorded(m):
+            widths.append(m.ncols)
+            return kernel(m)
 
-        monkeypatch.setattr(fflin, "_sylvester_centralizer", counted)
-        return calls
+        monkeypatch.setattr(fflin, "kernel", recorded)
+        return widths
 
     @pytest.mark.parametrize("build, dim, cls", [
         (lambda: fam.mathieu_group(22), 1, CentralizerClass.SCALARS),
@@ -275,15 +275,25 @@ class TestSpinningWorkCounts:
         (lambda: fam.alternating_group(24), 1, CentralizerClass.SCALARS),
         # F_2 x F_2: the heart has two non-isomorphic summands
         (lambda: fam.psl2(25), 2, CentralizerClass.NON_FIELD),
-    ], ids=["M22", "M23", "M24", "S24", "A24", "PSL2_25"])
-    def test_bench_hearts_are_spun(self, sylvester_calls, build, dim, cls):
+        (lambda: fam.alternating_group(5), 1, CentralizerClass.SCALARS),
+        (lambda: fam.mathieu_group(12).point_stabilizer(0).restriction(range(1, 12)),
+         1, CentralizerClass.SCALARS),
+    ], ids=["M22", "M23", "M24", "S24", "A24", "PSL2_25", "A5", "M12_root_stabilizer"])
+    def test_bench_hearts_are_spun(self, kernel_widths, build, dim, cls):
         report = heart_centralizer(build())
         assert (report.dim, report.classification) == (dim, cls)
-        assert sylvester_calls == []
+        # the later, narrower kernels are the field test's
+        assert max(kernel_widths) == report.algebra.d
 
-    def test_identity_input_reaches_the_fallback(self, sylvester_calls):
+    def test_two_four_cycles_take_two_seeds(self, kernel_widths):
+        # e_0 spans only 3 of the 6 heart dimensions; d^2 would be 36 columns
+        group = PermGroup(8, [Perm.parse("(1 2 3 4)(5 6 7 8)", 8)])
+        assert heart_centralizer(group).dim == 12
+        assert max(kernel_widths) <= 12
+
+    def test_identity_takes_one_seed_per_unit_vector(self, kernel_widths):
         assert fflin.centralizer_basis([MatF.identity(4)]).dim == 16
-        assert sylvester_calls == [1]
+        assert kernel_widths == [16]
 
 
 def test_reader_closing_early_is_quiet():

@@ -22,6 +22,7 @@ from oracles import (
     dense_rref_mod_p,
     matrix_entries,
     subalgebra_elements,
+    sylvester_centralizer,
 )
 
 
@@ -195,14 +196,11 @@ class TestSpinningAgainstSylvester:
     @example(_heart_of([Perm.parse("(1 2 3 4 5)", 5)], 5))
     @example(_heart_of(fam.psl2(13).generators, 14))
     @example(_heart_of([Perm.parse("(1 2 3 4)(5 6 7 8)", 8)], 8))
+    # three seeds: an involution's cyclic submodules have dimension <= 2 in d = 4
+    @example(_heart_of([Perm.parse("(1 2)(3 4)(5 6)", 6)], 6))
     def test_same_echelon_basis(self, mats):
         spun = centralizer_basis(mats)
-        assert spun._span.rows == fflin._sylvester_centralizer(mats)._span.rows
-
-    def test_non_cyclic_heart_falls_back(self):
-        mats = _heart_of([Perm.parse("(1 2 3 4)(5 6 7 8)", 8)], 8)
-        assert fflin._spin_commutant(mats, 6) is None
-        assert centralizer_basis(mats).dim == 12
+        assert spun._span.rows == sylvester_centralizer(mats)._span.rows
 
     def test_non_commuting_result_is_rejected(self, monkeypatch):
         # a spinning fault that returns the identity plus a non-commuting

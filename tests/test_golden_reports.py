@@ -11,7 +11,8 @@ checklists: ROADMAP items 1, 2 and 4) regenerates the file with
 
     PYTHONPATH=src python tests/test_golden_reports.py
 
-and lists the changed reports in CHANGES.md.
+and lists in CHANGES.md the reports that this command prints as
+rewritten (it also prints the count left unchanged).
 """
 
 import io
@@ -98,4 +99,10 @@ def test_cli_report(golden, argv):
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(current_reports(), indent=2, sort_keys=True) + "\n")
+    old = json.loads(GOLDEN.read_text())
+    new = current_reports()
+    changed = sorted(key for key in new if old.get(key) != new[key])
+    for key in changed:
+        print(f"rewritten: {key}")
+    print(f"{len(new) - len(changed)} unchanged")
+    GOLDEN.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")
