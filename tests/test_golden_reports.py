@@ -2,7 +2,8 @@
 
 `golden_reports.json` holds the machine report of each selftest fixture
 and of a few CLI runs (`group-check` S9, A9, S12 and S24, `analyze` on
-x^n - x - 1 and on Trinks' x^7 - 7*x + 3, one `hom-check`, and two
+x^n - x - 1 and on Trinks' x^7 - 7*x + 3, `identify` on x^24 - x - 1, two
+`hom-check` runs (one of them the census benchmark's pair), and two
 `group-check` runs with `--dump-action --dump-centralizer`, which pin the
 matrix dump format and the echelon order of the commutant basis).  A
 refactor must leave every one of them unchanged.  A change that alters a verdict on purpose
@@ -35,6 +36,8 @@ CLI_CASES = [
     *(("analyze", "--poly", f"x^{n} - x - 1") for n in (5, 7, 8, 9)),
     ("analyze", "--poly", "x^7 - 7*x + 3"),
     ("hom-check", "--poly", "x^3 - 2", "--poly2", "x^3 + x - 1"),
+    ("identify", "--poly", "x^24 - x - 1"),
+    ("hom-check", "--poly", "x^7 - x - 1", "--poly2", "x^8 - x - 1"),
     ("group-check", "--degree", "5", "--generators", "(1 2 3 4 5)",
      "--dump-action", "--dump-centralizer"),
     ("group-check", "--degree", "7", "--generators", "PSL2_7",
@@ -103,6 +106,6 @@ if __name__ == "__main__":
     new = current_reports()
     changed = sorted(key for key in new if old.get(key) != new[key])
     for key in changed:
-        print(f"rewritten: {key}")
+        print(f"{'rewritten' if key in old else 'added'}: {key}")
     print(f"{len(new) - len(changed)} unchanged")
     GOLDEN.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")

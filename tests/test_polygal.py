@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from endocert import polygal
+from endocert.arith import is_prime
 from endocert.errors import ParseError
 from endocert.permgroup import PermGroup, Perm, families as fam
 from endocert.permgroup.chain import StabilizerChain
@@ -163,6 +164,31 @@ class TestDegreePatternOracle:
             assert any(ddf_pattern_mod_p(f.coeffs, p) is None for p in primes), name
 
 
+# 2^31 - 1, 10^9 + 7 and the first prime above 2^40: a slot must hold
+# 2n(p-1)^2, more than one 64-bit word from degree 3 at the first, from
+# degree 10 at the second and at every packed degree (n >= 2) at the third
+_WIDE_PRIMES = (2**31 - 1, 10**9 + 7, 2**40 + 15)
+_WIDE_POLYS = {
+    **{name: _ORACLE_POLYS[name] for name in ("x^24-x-1", "trinks", "dense11", "dense24")},
+    "dense2": _ORACLE_POLYS["dense2"],
+    "6x-5": IntPoly.parse("6*x - 5"),
+}
+
+
+class TestDegreePatternWideSlots:
+    """Primes whose packed slots are wider than one 64-bit word."""
+
+    def test_first_prime_above_2_40(self):
+        assert is_prime(2**40 + 15)
+        assert not any(is_prime(q) for q in range(2**40, 2**40 + 15))
+
+    @pytest.mark.parametrize("f", list(_WIDE_POLYS.values()), ids=list(_WIDE_POLYS))
+    def test_agrees_with_oracle(self, f):
+        mine = [degree_pattern_mod_p(f, p) for p in _WIDE_PRIMES]
+        assert mine == [ddf_pattern_mod_p(f.coeffs, p) for p in _WIDE_PRIMES]
+        assert all(pattern is not None and sum(pattern) == f.degree for pattern in mine)
+
+
 class TestCensus:
     def test_cubic_sees_all_s3_patterns(self):
         sample = census(IntPoly.parse("x^3 - 2"), 100)
@@ -233,6 +259,24 @@ class TestDistributions:
         assert all((9 - len(t)) % 2 == 0 for t in dist_a9)
         assert dist_a9[(9,)] == 2 * dist_s9[(9,)] == Fraction(2, 9)
 
+    @pytest.mark.parametrize(
+        "build",
+        [fam.psl2_7_on_7_points, lambda: fam.psl2(23), lambda: fam.mathieu_group(11)],
+        ids=["PSL(2,7)", "PSL(2,23)", "M11"],
+    )
+    def test_enumeration_builds_no_perm(self, build, monkeypatch):
+        group = build()
+        counts: dict[tuple[int, ...], int] = {}
+        for t in group.chain.elements():
+            counts[Perm(t).cycle_type()] = counts.get(Perm(t).cycle_type(), 0) + 1
+
+        def refuse(self):
+            raise AssertionError("Perm built while enumerating")
+
+        monkeypatch.setattr(Perm, "__post_init__", refuse)
+        dist = cycle_type_distribution(group)
+        assert dist == {t: Fraction(c, group.order()) for t, c in counts.items()}
+
     def test_psl2_7_distribution(self):
         dist = cycle_type_distribution(fam.psl2_7_on_7_points())
         assert dist[(7,)] == Fraction(48, 168)
@@ -243,6 +287,20 @@ class TestDistributions:
 
 
 class TestIdentify:
+    def test_candidates_above_the_bound_are_never_built(self, monkeypatch):
+        built = []
+        build = StabilizerChain.build
+
+        def counted(*args, **kwargs):
+            chain = build(*args, **kwargs)
+            built.append(chain.order())
+            return chain
+
+        monkeypatch.setattr(StabilizerChain, "build", counted)
+        names = [g.name for g in standard_candidates(24)]
+        assert built and max(built) <= polygal.EXHAUSTIVE_BOUND
+        assert "S24" not in names and "A24" not in names
+
     def test_trinks_polynomial_matches_psl2_7_only(self):
         f = IntPoly.parse("x^7 - 7*x + 3")
         sample = census(f, 200)
