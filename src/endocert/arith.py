@@ -1,22 +1,50 @@
 """Integer arithmetic shared by every layer: primality, factoring, partitions.
 
-All by trial division; the engine's integers are group orders, field sizes
-and census primes, far below where anything cleverer pays.
+Factoring is trial division: group orders and field sizes are far below
+where anything cleverer pays.  Primality is not, because the census
+checks every DDF prime, which may be 2^61 - 1 or more.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterator, Optional
+
+#: The primes up to 41, and psi_13, the least strong pseudoprime to all of
+#: them as bases (Sorenson and Webster, Math. Comp. 86, 2017).
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Trial division by 2 and the odd numbers up to sqrt(n)."""
+    """Exact for n < psi_13 (about 3.3e24); ValueError at or above it.
+
+    Trial division by the primes up to 41 settles n < 43^2, and Miller-Rabin
+    to those 13 bases is deterministic below psi_13.
+    """
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    return all(n % d for d in range(3, math.isqrt(n) + 1, 2))
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:
+        return True
+    if n >= _PSI_13:
+        raise ValueError(f"{n} is too large for the deterministic primality test")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def factorize(n: int) -> dict[int, int]:

@@ -288,9 +288,6 @@ class FSubalgebra:
     def basis_matrices(self) -> list[MatF]:
         return [MatF.from_vec(self.d, self.d, v) for v in self._span.rows]
 
-    def contains(self, m: MatF) -> bool:
-        return self._span.contains(m.vec())
-
     def same_span(self, other: "FSubalgebra") -> bool:
         return self.d == other.d and self._span.equals(other._span)
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .chain import StabilizerChain
 from .perms import Perm
@@ -73,10 +73,6 @@ class PermGroup:
     def is_trivial(self) -> bool:
         return not self.generators
 
-    def elements(self, limit: Optional[int] = EXHAUSTIVE_BOUND) -> Iterator[Perm]:
-        for t in self.chain.elements(limit=limit):
-            yield Perm(t)
-
     def transitivity_degree(self) -> int:
         """Largest k such that the action is transitive on k-tuples.
 
@@ -114,16 +110,9 @@ class PermGroup:
             gens += [s, t * s * tinv] if s.is_even() else [s * tinv, t * s]
         return PermGroup(self.degree, gens)
 
-    def point_stabilizer(self, point: int) -> "PermGroup":
-        """Stabilizer of a point, as a group of the same degree."""
-        if not 0 <= point < self.degree:
-            raise ValueError(f"point {point} out of range")
-        order = [point] + [p for p in range(self.degree) if p != point]
-        chain = StabilizerChain.build(
-            self.degree, [g.images for g in self.generators], base_order=order
-        )
-        gens = [Perm(t) for t in chain.level_generators(1)]
-        return PermGroup(self.degree, gens)
+    def point_stabilizer(self) -> "PermGroup":
+        """Stabilizer of point 0, read off the group's own chain."""
+        return PermGroup(self.degree, [Perm(t) for t in self.chain.level_generators(1)])
 
     def restriction(self, points: Sequence[int]) -> "PermGroup":
         """Restrict the action to an invariant point set, relabelled 0..k-1."""

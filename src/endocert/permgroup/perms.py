@@ -154,7 +154,7 @@ class Perm:
         return tuple(sorted(lengths, reverse=True))
 
     def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
+        return math.lcm(1, *(len(c) for c in self.cycles()))
 
     def is_even(self) -> bool:
         return sum(len(c) - 1 for c in self.cycles()) % 2 == 0

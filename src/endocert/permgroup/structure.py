@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Literal, Optional, Sequence
 
 from .chain import StabilizerChain
-from .groups import EXHAUSTIVE_BOUND, SUBGROUP_LATTICE_BOUND, PermGroup
+from .groups import EXHAUSTIVE_BOUND, PermGroup
 from .perms import Perm, _invert
 
 TriState = Literal[True, False, "unknown"]
@@ -136,20 +136,6 @@ def _is_simple_uncached(group: PermGroup) -> TriState:
         normal_closure(group, [rep]).order() == order
         for rep in conjugacy_class_representatives(group)
         if not rep.is_identity()
-    )
-
-
-def simplicity_is_cheap(group: PermGroup) -> bool:
-    """Whether ``is_simple(group)`` answers without a costly enumeration.
-
-    True for small groups, for groups whose answer is already cached, and
-    for groups the parity test refutes.  The one policy for callers that
-    consult simplicity only as a shortcut.
-    """
-    return (
-        group.order() <= SUBGROUP_LATTICE_BOUND
-        or group._simple is not None
-        or group.even_part is not group
     )
 
 

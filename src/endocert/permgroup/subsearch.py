@@ -13,9 +13,9 @@ Strategy ladder per index r (smallest r wins):
      not divide r!, N has no proper subgroup of index <= r, so an index-r
      subgroup H contains N (H ∩ N has index <= r in N) and exists iff
      r = |G/N|; for r = 2 its certificate is N's generators.  N = A_n is
-     read off the order |G| = n! (n >= 5); any other N is asked only when
-     its simplicity is cheap, and N = G also when it is exact and the
-     backtrack below would scan more than 5000 generator-image assignments.
+     read off the order |G| = n! (n >= 5); any other N is asked of
+     ``is_simple``, the one simplicity policy (exact up to EXHAUSTIVE_BOUND,
+     "unknown" above it).
   3. Backtracking over generator images in Sym(r), the first image taken
      up to conjugacy (one representative per cycle type).
   4. Exhaustive subgroup lattice for |G| <= SUBGROUP_LATTICE_BOUND.
@@ -32,9 +32,9 @@ from typing import Literal, Optional, Sequence
 
 from ..arith import partitions, prime_power
 from .chain import StabilizerChain, closure_elements
-from .groups import EXHAUSTIVE_BOUND, SUBGROUP_LATTICE_BOUND, PermGroup
+from .groups import SUBGROUP_LATTICE_BOUND, PermGroup
 from .perms import Perm
-from .structure import TriState, is_simple, simplicity_is_cheap
+from .structure import TriState, is_simple
 
 #: r above this is out of reach for the backtrack (Sym(r)^k blow-up).
 BACKTRACK_MAX_INDEX = 8
@@ -91,18 +91,6 @@ def _is_transitive_on(r: int, perms: Sequence[tuple[int, ...]]) -> bool:
                 seen.add(q)
                 frontier.append(q)
     return len(seen) == r
-
-
-def _backtrack_is_cheap(group: PermGroup, r: int) -> bool:
-    """Whether the backtrack scans at most 5000 generator-image assignments."""
-    if r > BACKTRACK_MAX_INDEX or not group.generators:
-        return False
-    sizes = [
-        len(_perms_of_order_dividing(r, g.order())) for g in group.generators
-    ]
-    pivot = max(range(len(sizes)), key=lambda i: sizes[i])
-    sizes[pivot] = len(_cycle_type_representatives(r, group.generators[pivot].order()))
-    return math.prod(sizes) <= 5000
 
 
 def _homomorphism_search(group: PermGroup, r: int) -> Optional[tuple[Perm, ...]]:
@@ -194,25 +182,19 @@ def _lattice_has_index(group: PermGroup, r: int) -> Optional[tuple[Perm, ...]]:
 
 
 def _descent_applies(group: PermGroup, r: int) -> bool:
-    """Whether N = G ∩ A_n is known simple with |N| not dividing r!.
+    """Whether N = G ∩ A_n is simple with |N| not dividing r!.
 
-    Neither |N| nor the simplicity of N = A_n needs a chain of N.
+    A simple N acts faithfully on the cosets of any proper subgroup of
+    index m <= r, so |N| would divide m! and hence r!.  Neither |N| nor the
+    simplicity of N = A_n needs a chain of N.
     """
     order = group.order()
     even = group.even_part
     if math.factorial(r) % (order if even is group else order // 2) == 0:
         return False
-    if even is not group:
-        if group.degree >= 5 and order == math.factorial(group.degree):
-            return True  # N = A_n
-        return simplicity_is_cheap(even) and is_simple(even) is True
-    # when simplicity is not cheap, a cheap backtrack beats an exact
-    # simplicity check; above the exhaustive bound is_simple answers
-    # "unknown", so the shortcut cannot apply there
-    return (
-        simplicity_is_cheap(group)
-        or (order <= EXHAUSTIVE_BOUND and not _backtrack_is_cheap(group, r))
-    ) and is_simple(group) is True
+    if even is not group and group.degree >= 5 and order == math.factorial(group.degree):
+        return True  # N = A_n
+    return is_simple(even) is True
 
 
 def has_proper_subgroup_of_index(

@@ -51,6 +51,12 @@ SCHEMA_VERSION = 1
 #: How every heart commutant in a checklist was computed (fflin.centralizer_basis).
 _COMMUTANT_METHOD = "computed: commutant by spinning unit vectors over F_2"
 
+#: How route 1 decided its escape indices (_Ctx.no_proper_subgroup_of_index).
+_ESCAPE_METHOD = "computed: bounded subgroup search / simplicity descent"
+
+#: The simplicity hypothesis, computed in _refine_center_q or cited by a rule.
+_SIMPLE_HYPOTHESIS = "group is simple nonabelian (hence quasi-simple with trivial center)"
+
 Status = Literal["verified", "failed", "assumed", "heuristic", "unknown"]
 
 
@@ -281,18 +287,18 @@ def recognize(group: PermGroup, n: int) -> Recognition:
 
 
 class _Ctx:
-    """Memoized hypothesis computations on one group plus cited-fact overrides.
+    """Memoized hypothesis computations on one group, plus a cited simplicity.
 
-    One is built per analysed group and handed to every rule; a rule that
-    relies on cited facts sets them in ``overrides``.
+    One is built per analysed group and handed to every rule.  A rule that
+    cites the group's simplicity sets ``cited_simple`` and records that
+    fact's checklist entry itself, before any entry that relies on it; the
+    citation lives on this per-call context, never on the group.
     """
 
     def __init__(self, group: PermGroup):
         self.group = group
         self._index_cache: dict[int, TriState] = {}
-        # {"no_index_upto": (bound, FactRecord), "simple": FactRecord}
-        self.overrides: dict = {}
-        self.consumed: list[tuple[str, FactRecord]] = []
+        self.cited_simple: Optional[FactRecord] = None
         self._centralizer: Optional[CentralizerReport] = None
 
     def centralizer(self) -> CentralizerReport:
@@ -301,30 +307,24 @@ class _Ctx:
         return self._centralizer
 
     def simple(self) -> TriState:
-        rec = self.overrides.get("simple")
-        if rec is not None:
-            self.consumed.append(("simple", rec))
-            return True
-        return is_simple(self.group)
+        return True if self.cited_simple is not None else is_simple(self.group)
 
     def no_proper_subgroup_of_index(self, m: int) -> TriState:
-        """True here means NO proper subgroup of index m exists."""
-        if m in self._index_cache:
-            return self._index_cache[m]
-        result: TriState
-        rec = self.overrides.get("no_index_upto")
-        if rec is not None and m <= rec[0]:
-            self.consumed.append((f"no subgroup of index {m}", rec[1]))
-            result = True
-        else:
+        """True here means NO proper subgroup of index m exists.
+
+        A cited simple group has none when its order does not divide m!, as
+        it would act faithfully on the m cosets: the theorem behind
+        subsearch._descent_applies.  Anything else asks the search.
+        """
+        if self.cited_simple is not None and math.factorial(m) % self.group.order() != 0:
+            return True
+        if m not in self._index_cache:
             ans, _cert, _method = has_proper_subgroup_of_index(self.group, m)
-            result = (not ans) if ans in (True, False) else "unknown"
-        self._index_cache[m] = result
-        return result
+            self._index_cache[m] = (not ans) if ans in (True, False) else "unknown"
+        return self._index_cache[m]
 
     def no_normal_subgroup_of_index_dividing(self, g: int) -> TriState:
-        if self.overrides.get("simple") is not None:
-            self.simple()  # record the cited fact
+        if self.cited_simple is not None:
             # proper normal subgroups of a simple group: only the trivial one
             order = self.group.order()
             return not (order <= g and g % order == 0)
@@ -453,7 +453,7 @@ def _center_analysis(ctx: _Ctx) -> CenterAnalysis:
             _entry(
                 "no proper subgroup of index r/2^j > 1 for any r > 1 dividing the genus",
                 "verified",
-                "computed: bounded subgroup search / index catalogue",
+                _ESCAPE_METHOD,
                 f"escape indices checked: {sorted(escapes) or 'none'}",
             )
         )
@@ -596,16 +596,13 @@ def _refine_center_q(
     order = ctx.group.order()
     g = (ctx.group.degree - 1) // 2
     survivors: list[_Survivor] = []
-    simple = ctx.simple()
-    quasi_simple = simple is True  # trivial center throughout this engine
-    if quasi_simple:
+    quasi_simple = ctx.simple() is True  # trivial center throughout this engine
+    if quasi_simple and ctx.cited_simple is None:
         entries.append(
             _entry(
-                "group is simple nonabelian (hence quasi-simple with trivial center)",
+                _SIMPLE_HYPOTHESIS,
                 "verified",
-                "computed: normal closures of conjugacy-class representatives"
-                if not ctx.overrides.get("simple")
-                else fact("multiply-transitive-classification").citation,
+                "computed: normal closures of conjugacy-class representatives",
                 f"order {order}",
             )
         )
@@ -850,12 +847,6 @@ def _analyze_group_case(
     return _generic_rule(ctx, char, entries, caveats)
 
 
-def _flush_consumed(ctx: _Ctx, entries: list[ChecklistEntry]) -> None:
-    """Record the cited facts the context has consumed so far."""
-    entries.extend(_fact_entry(hyp, rec) for hyp, rec in ctx.consumed)
-    ctx.consumed.clear()
-
-
 def _generic_rule(
     ctx: _Ctx,
     char: int,
@@ -864,10 +855,9 @@ def _generic_rule(
     quaternion_exclusion: Optional[FactRecord] = None,
     q_side_exclusion: Optional[FactRecord] = None,
 ) -> Verdict:
-    """The theorem route driven purely by computed structure plus overrides."""
+    """The theorem route driven by computed structure and the rule's cited facts."""
     analysis = _center_analysis(ctx)
     entries.extend(analysis.entries)
-    _flush_consumed(ctx, entries)
     if analysis.blocked is not None:
         return _inconclusive(entries, caveats, analysis.blocked)
     # dichotomy: with a scalar commutant and a live escape, either a product
@@ -884,7 +874,6 @@ def _generic_rule(
             quaternion_exclusion=quaternion_exclusion,
             q_side_exclusion=q_side_exclusion,
         )
-        _flush_consumed(ctx, entries)
         outcome, chars = _conclude_from_survivors(
             survivors, analysis.live_product_dims, char, entries, caveats
         )
@@ -949,7 +938,7 @@ def _rule_alternating(ctx: _Ctx, char, entries, caveats) -> Verdict:
 
 def _rule_degree12_reduction(ctx: _Ctx, char, entries, caveats, ident) -> Verdict:
     """Degree 12: pass to the stabilizer of a root acting on the rest."""
-    stab = ctx.group.point_stabilizer(0).restriction(range(1, 12))
+    stab = ctx.group.point_stabilizer().restriction(range(1, 12))
     stab.name = f"root stabilizer in {ident.label}"
     entries.append(
         _entry(
@@ -1037,8 +1026,8 @@ def _rule_psl2_natural(ctx: _Ctx, char, entries, caveats, q: int) -> Verdict:
 def _rule_mathieu_large(ctx: _Ctx, char, entries, caveats) -> Verdict:
     n = ctx.group.degree
     key = {22: "m22", 23: "m23", 24: "m24"}[n]
-    ctx.overrides["simple"] = fact(f"atlas-{key}-simple")
-    ctx.overrides["no_index_upto"] = (n - 1, fact(f"atlas-{key}-min-index-{n}"))
+    ctx.cited_simple = fact(f"atlas-{key}-simple")
+    entries.append(_fact_entry(_SIMPLE_HYPOTHESIS, ctx.cited_simple))
     if n == 22:
         entries.append(
             _fact_entry(

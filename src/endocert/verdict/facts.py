@@ -183,33 +183,6 @@ _RECORDS = [
         kind="simplicity",
     ),
     FactRecord(
-        key="atlas-m22-min-index-22",
-        statement=(
-            "The largest proper subgroups of M22 have index 22; in particular no "
-            "proper subgroup has index dividing 10."
-        ),
-        citation="Atlas of Finite Groups (M22 maximal subgroups)",
-        kind="subgroup-index",
-    ),
-    FactRecord(
-        key="atlas-m23-min-index-23",
-        statement=(
-            "The largest proper subgroups of M23 have index 23; in particular no "
-            "proper subgroup has index dividing 11."
-        ),
-        citation="Atlas of Finite Groups (M23 maximal subgroups)",
-        kind="subgroup-index",
-    ),
-    FactRecord(
-        key="atlas-m24-min-index-24",
-        statement=(
-            "The largest proper subgroups of M24 have index 24; in particular no "
-            "proper subgroup has index dividing 11."
-        ),
-        citation="Atlas of Finite Groups (M24 maximal subgroups)",
-        kind="subgroup-index",
-    ),
-    FactRecord(
         key="m23-quaternion-excluded",
         statement=(
             "No matrix algebra M_11(H) over a definite rational quaternion "

@@ -14,8 +14,37 @@ def _sieve(limit):
 
 
 def test_is_prime_agrees_with_sieve():
-    flags = _sieve(10**4)
-    assert [n for n in range(-5, 10**4) if is_prime(n)] == [n for n in range(10**4) if flags[n]]
+    # trial division by the primes up to 41 decides n < 43^2, Miller-Rabin
+    # the rest
+    flags = _sieve(10**5)
+    assert [n for n in range(-5, 10**5) if is_prime(n)] == [n for n in range(10**5) if flags[n]]
+
+
+def test_is_prime_on_large_primes():
+    # 2^61 - 1 is a Mersenne prime; 10^24 + 7 and psi_13 - 168 are the
+    # first prime above 10^24 and the last one below psi_13.  The next
+    # Mersenne prime, 2^89 - 1, lies above psi_13 (see below).
+    for p in (2**61 - 1, 10**24 + 7, 3317044064679887385961981 - 168):
+        assert is_prime(p)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        3215031751,  # strong pseudoprime to the bases 2, 3, 5, 7
+        3825123056546413051,  # psi_9 = psi_10 = psi_11: bases 2 to 31
+        318665857834031151167461,  # psi_12: only the base 41 catches it
+    ],
+)
+def test_is_prime_on_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+@pytest.mark.parametrize("n", [3317044064679887385961981, 2**89 - 1])
+def test_is_prime_refuses_beyond_psi_13(n):
+    # psi_13 fools every one of the thirteen bases, so the test would guess
+    with pytest.raises(ValueError):
+        is_prime(n)
 
 
 def test_factorize_multiplies_back_with_primes_ascending():

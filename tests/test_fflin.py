@@ -130,7 +130,7 @@ class TestCentralizer:
             alg = centralizer_basis(gens)
             brute = brute_force_commutant_4x4([m.rows for m in gens])
             assert len(brute) == 2**alg.dim
-            assert all(alg.contains(MatF(4, 4, rows)) for rows in brute)
+            assert all(alg._span.contains(MatF(4, 4, rows).vec()) for rows in brute)
 
     def test_dimension_conjugation_invariant(self):
         rng = random.Random(7)
@@ -268,8 +268,8 @@ class TestAlgebraClosure:
         from endocert.fflin import _Span
 
         span = _Span()
-        for el in g7.elements():
-            span.add(act(heart7, el).vec())
+        for t in g7.chain.elements():
+            span.add(act(heart7, Perm(t)).vec())
         assert span.dim() == 27
 
 

@@ -101,6 +101,14 @@ def test_cli_report(golden, argv):
     assert _cli_report(argv) == golden[" ".join(argv)]
 
 
+def test_no_checklist_repeats_an_entry(golden):
+    # a cited fact is recorded once, where it is first relied on
+    for name, text in golden.items():
+        report, _ = json.JSONDecoder().raw_decode(text)
+        entries = [json.dumps(e, sort_keys=True) for e in report.get("checklist", [])]
+        assert len(entries) == len(set(entries)), name
+
+
 if __name__ == "__main__":
     old = json.loads(GOLDEN.read_text())
     new = current_reports()

@@ -55,7 +55,7 @@ def test_m12_order_with_m11_cross_check():
     assert m11.order() == 7920
     assert closure_order(11, [p.images for p in m11.generators]) == 7920
     # the point stabilizer of M12 is a copy of M11
-    stab = m12.point_stabilizer(0)
+    stab = m12.point_stabilizer()
     assert stab.order() == 7920
 
 
@@ -98,9 +98,9 @@ class TestMembership:
 
     def test_elements_enumeration(self):
         s4 = fam.symmetric_group(4)
-        elems = list(s4.elements())
+        elems = list(s4.chain.elements())
         assert len(elems) == 24
-        assert len({e.images for e in elems}) == 24
+        assert len(set(elems)) == 24
 
     def test_random_generator_products_stay_inside(self):
         # spot-check that the claimed order really is a closure bound
@@ -124,7 +124,7 @@ class TestMembership:
 
 def test_point_stabilizer_and_restriction():
     m12 = fam.mathieu_group(12)
-    stab = m12.point_stabilizer(0)
+    stab = m12.point_stabilizer()
     assert all(g(0) == 0 for g in stab.generators)
     restricted = stab.restriction(range(1, 12))
     assert restricted.degree == 11

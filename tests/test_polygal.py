@@ -189,6 +189,13 @@ class TestDegreePatternWideSlots:
         assert all(pattern is not None and sum(pattern) == f.degree for pattern in mine)
 
 
+def test_degree_pattern_at_a_61_bit_prime():
+    # degree_pattern_mod_p checks that p is prime on every call
+    p = 2**61 - 1
+    for f in (_ORACLE_POLYS["x^24-x-1"], _ORACLE_POLYS["dense11"]):
+        assert degree_pattern_mod_p(f, p) == ddf_pattern_mod_p(f.coeffs, p)
+
+
 class TestCensus:
     def test_cubic_sees_all_s3_patterns(self):
         sample = census(IntPoly.parse("x^3 - 2"), 100)
@@ -238,8 +245,9 @@ class TestDistributions:
     def test_closed_form_matches_enumeration(self, n):
         for group in (fam.symmetric_group(n), fam.alternating_group(n)):
             counts: dict[tuple[int, ...], int] = {}
-            for g in group.elements():
-                counts[g.cycle_type()] = counts.get(g.cycle_type(), 0) + 1
+            for t in group.chain.elements():
+                cycle_type = Perm(t).cycle_type()
+                counts[cycle_type] = counts.get(cycle_type, 0) + 1
             enumerated = {t: Fraction(c, group.order()) for t, c in counts.items()}
             closed = cycle_type_distribution(group)
             assert closed.keys() == enumerated.keys()

@@ -40,6 +40,16 @@ def _pgl2_5() -> PermGroup:
     return PermGroup(6, [translate, flip])
 
 
+def _pgl2_29() -> PermGroup:
+    # PGL(2,29) on the projective line, points 0..28 and infinity = 29:
+    # x -> x + 1, x -> 2x (2 is a non-square mod 29) and x -> -1/x
+    q = 29
+    translate = Perm(tuple((x + 1) % q for x in range(q)) + (q,))
+    scale = Perm(tuple(2 * x % q for x in range(q)) + (q,))
+    invert = Perm((q,) + tuple(-pow(x, -1, q) % q for x in range(1, q)) + (0,))
+    return PermGroup(q + 1, [translate, scale, invert])
+
+
 class TestMinProperSubgroupIndex:
     def test_a5_bound_4_none_by_shortcut(self):
         report = min_proper_subgroup_index(fam.alternating_group(5), 4)
@@ -166,6 +176,17 @@ class TestNormalSubgroupDescent:
             assert has_proper_subgroup_of_index(group, r) == (False, None, "lagrange-shortcut")
         ans, cert, _ = has_proper_subgroup_of_index(group, 2)
         assert ans is True and PermGroup(6, cert).order() == 60
+
+    def test_pgl2_29_descends_through_psl2_29(self, no_backtrack):
+        # |PSL(2,29)| = 12180 is above the subgroup-lattice bound, so the
+        # descent asks is_simple of the even part instead of a cost guess
+        group = _pgl2_29()
+        assert group.order() == 30 * 29 * 28
+        ans, cert, method = has_proper_subgroup_of_index(group, 2)
+        assert ans is True and method == "lagrange-shortcut"
+        assert PermGroup(30, cert).order() == 12180
+        for r in (7, 14):
+            assert has_proper_subgroup_of_index(group, r) == (False, None, "lagrange-shortcut")
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(groups_with_an_odd_generator())

@@ -47,6 +47,36 @@ class TestFactsTable:
         assert seen_any
 
 
+class TestCitedMathieuSimplicity:
+    """M22-M24 cite their simplicity once, and it decides every index question."""
+
+    @pytest.mark.parametrize("n", [22, 23, 24])
+    def test_cited_once_before_any_index_entry(self, n, monkeypatch):
+        from endocert.permgroup.chain import StabilizerChain
+        from endocert.verdict import engine
+
+        group = fam.mathieu_group(n)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("index search or element enumeration")
+
+        monkeypatch.setattr(engine, "has_proper_subgroup_of_index", refuse)
+        monkeypatch.setattr(StabilizerChain, "elements", refuse)
+        verdict = analyze_jacobian(case_from_group(group, 0))
+        assert verdict.outcome is Outcome.END_IS_Z
+        simple = FACTS[f"atlas-m{n}-simple"]
+        cited = [
+            i for i, e in enumerate(verdict.checklist)
+            if (e.status, e.citation, e.evidence) == ("assumed", simple.citation, simple.statement)
+        ]
+        assert len(cited) == 1
+        first_index = next(i for i, e in enumerate(verdict.checklist) if "index" in e.hypothesis)
+        assert cited[0] < first_index
+
+    def test_no_subgroup_index_facts(self):
+        assert not any("min-index" in key for key in FACTS)
+
+
 class TestVerdictInvariants:
     def test_end_is_z_rejects_failed_entries(self):
         bad = ChecklistEntry("something", "failed", "somewhere", "")
