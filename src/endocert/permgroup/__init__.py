@@ -1,8 +1,9 @@
 """Exact permutation-group engine.
 
-Orders and membership via deterministic Schreier-Sims chains; transitivity
-degree, derived series, simplicity and normal-subgroup queries; bounded
-least-index subgroup search; and constructors for the standard families.
+S_n and A_n recognised by Jordan's theorem; orders and membership of every
+other group via deterministic Schreier-Sims chains; transitivity degree,
+derived series, simplicity and normal-subgroup queries; bounded least-index
+subgroup search; and constructors for the standard families.
 """
 
 from .chain import StabilizerChain, closure_elements

@@ -33,6 +33,21 @@ def _invert(p: Sequence[int]) -> tuple[int, ...]:
     return tuple(inv)
 
 
+def _cycle_type(p: Sequence[int]) -> tuple[int, ...]:
+    """Cycle lengths of an image tuple, fixed points included, descending."""
+    n = len(p)
+    seen = [False] * n
+    lengths = []
+    for start in range(n):
+        if not seen[start]:
+            j, length = start, 0
+            while not seen[j]:
+                seen[j] = True
+                j, length = p[j], length + 1
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
 @dataclass(frozen=True)
 class Perm:
     """A permutation, stored as the tuple of images of 0..n-1."""
@@ -149,9 +164,7 @@ class Perm:
 
     def cycle_type(self) -> tuple[int, ...]:
         """Partition of the degree by cycle lengths, sorted descending."""
-        lengths = [len(c) for c in self.cycles()]
-        lengths += [1] * (self.degree - sum(lengths))
-        return tuple(sorted(lengths, reverse=True))
+        return _cycle_type(self.images)
 
     def order(self) -> int:
         return math.lcm(1, *(len(c) for c in self.cycles()))

@@ -17,7 +17,9 @@ Strategy ladder per index r (smallest r wins):
      ``is_simple``, the one simplicity policy (exact up to EXHAUSTIVE_BOUND,
      "unknown" above it).
   3. Backtracking over generator images in Sym(r), the first image taken
-     up to conjugacy (one representative per cycle type).
+     up to conjugacy (one representative per cycle type).  At most
+     BACKTRACK_MAX_ASSIGNMENTS assignments are tried per index; past that
+     budget the index is "unknown" (a resource bound, like EXHAUSTIVE_BOUND).
   4. Exhaustive subgroup lattice for |G| <= SUBGROUP_LATTICE_BOUND.
 Anything the ladder cannot settle is reported with method "unknown".
 """
@@ -28,16 +30,21 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Literal, Optional, Sequence
+from typing import Literal, Optional, Union
 
 from ..arith import partitions, prime_power
 from .chain import StabilizerChain, closure_elements
-from .groups import SUBGROUP_LATTICE_BOUND, PermGroup
+from .groups import SUBGROUP_LATTICE_BOUND, PermGroup, _is_transitive
 from .perms import Perm
 from .structure import TriState, is_simple
 
 #: r above this is out of reach for the backtrack (Sym(r)^k blow-up).
 BACKTRACK_MAX_INDEX = 8
+
+#: Generator-image assignments the backtrack may try per index; each that
+#: passes the transitivity filter costs a chain build on n + r points.
+#: Past it the index is answered "unknown".
+BACKTRACK_MAX_ASSIGNMENTS = 1000
 
 SearchMethod = Literal["lagrange-shortcut", "action-backtrack", "exhaustive", "unknown"]
 
@@ -80,24 +87,14 @@ def _cycle_type_representatives(r: int, d: int) -> list[tuple[int, ...]]:
     return reps
 
 
-def _is_transitive_on(r: int, perms: Sequence[tuple[int, ...]]) -> bool:
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        p = frontier.pop()
-        for g in perms:
-            q = g[p]
-            if q not in seen:
-                seen.add(q)
-                frontier.append(q)
-    return len(seen) == r
-
-
-def _homomorphism_search(group: PermGroup, r: int) -> Optional[tuple[Perm, ...]]:
+def _homomorphism_search(
+    group: PermGroup, r: int
+) -> Union[tuple[Perm, ...], None, Literal["unknown"]]:
     """Find a transitive homomorphism image in Sym(r); return subgroup gens.
 
-    Returns generators of the index-r preimage subgroup, or None when no
-    homomorphism with transitive image exists.
+    Returns generators of the index-r preimage subgroup, None when no
+    homomorphism with transitive image exists, or "unknown" once
+    BACKTRACK_MAX_ASSIGNMENTS assignments have been tried without a hit.
     """
     n = group.degree
     order = group.order()
@@ -112,10 +109,12 @@ def _homomorphism_search(group: PermGroup, r: int) -> Optional[tuple[Perm, ...]]
     choice_lists = list(full_choices)
     choice_lists[pivot] = _cycle_type_representatives(r, gen_orders[pivot])
 
-    for assignment in itertools.product(*choice_lists):
+    for tried, assignment in enumerate(itertools.product(*choice_lists)):
+        if tried == BACKTRACK_MAX_ASSIGNMENTS:
+            return "unknown"
         if all(Perm(h).is_identity() for h in assignment):
             continue
-        if not _is_transitive_on(r, assignment):
+        if not _is_transitive(r, assignment):
             continue
         # product action on n + r points: candidate map extends to a
         # homomorphism iff the diagonal group projects bijectively onto G
@@ -213,6 +212,8 @@ def has_proper_subgroup_of_index(
         return False, None, "lagrange-shortcut"
     if r <= BACKTRACK_MAX_INDEX:
         cert = _homomorphism_search(group, r)
+        if cert == "unknown":
+            return "unknown", None, "unknown"
         return cert is not None, cert, "action-backtrack"
     if order <= SUBGROUP_LATTICE_BOUND:
         cert = _lattice_has_index(group, r)

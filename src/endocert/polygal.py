@@ -36,6 +36,7 @@ from .arith import is_odd_prime_power, is_prime, partitions
 from .errors import ParseError
 from .permgroup import PermGroup
 from .permgroup.groups import EXHAUSTIVE_BOUND
+from .permgroup.perms import _cycle_type
 
 #: Census stream default; ascending odd primes from 3.
 DEFAULT_PRIME_BUDGET = 200
@@ -469,16 +470,7 @@ def cycle_type_distribution(group: PermGroup) -> dict[tuple[int, ...], Fraction]
         raise ValueError(f"group order {order} exceeds the census bound")
     counts: dict[tuple[int, ...], int] = {}
     for g in group.chain.elements(limit=EXHAUSTIVE_BOUND):
-        seen = [False] * n
-        lengths = []
-        for start in range(n):
-            if not seen[start]:
-                j, length = start, 0
-                while not seen[j]:
-                    seen[j] = True
-                    j, length = g[j], length + 1
-                lengths.append(length)
-        t = tuple(sorted(lengths, reverse=True))
+        t = _cycle_type(g)
         counts[t] = counts.get(t, 0) + 1
     return {t: Fraction(c, order) for t, c in counts.items()}
 

@@ -9,7 +9,7 @@ import pytest
 from endocert import cli, fflin
 from endocert.cli import EXIT_OK, EXIT_USAGE, main
 from endocert.fflin import MatF
-from endocert.permgroup import Perm, PermGroup, StabilizerChain, structure
+from endocert.permgroup import Perm, PermGroup, StabilizerChain, structure, subsearch
 from endocert.permgroup import families as fam
 from endocert.repmod import CentralizerClass, heart_centralizer
 from endocert.verdict import analyze_jacobian, case_from_group, engine
@@ -218,10 +218,12 @@ class TestProcessState:
         assert first[1]["chain builds"] > 0
 
     def test_library_repeat_call_same_work(self, work_counts):
-        def analyze_a7():
-            return analyze_jacobian(case_from_group(fam.alternating_group(7), 0)).to_json()
+        # PSL(2,7) on the projective line is no giant, so its order and
+        # transitivity still come from a chain
+        def analyze_psl2_7():
+            return analyze_jacobian(case_from_group(fam.psl2(7), 0)).to_json()
 
-        first, second = _twice(analyze_a7, work_counts)
+        first, second = _twice(analyze_psl2_7, work_counts)
         assert first == second
         assert first[1]["chain builds"] > 0
 
@@ -233,7 +235,37 @@ class TestWorkCounts:
         # action-backtrack alone used to build 51 chains
         code, _, _ = run(capsys, "group-check", "--degree", "12", "--generators", "S12")
         assert code == EXIT_OK
-        assert work_counts["chain builds"] <= 3
+        assert work_counts["chain builds"] == 0
+
+    def test_agl4_2_backtrack_stays_within_its_budget(self, capsys, monkeypatch, work_counts):
+        # AGL(4,2) on 16 points: index 7 once ran without limit, one chain
+        # build on 23 points per generator-image assignment
+        budget = 30
+        monkeypatch.setattr(subsearch, "BACKTRACK_MAX_ASSIGNMENTS", budget)
+        search = subsearch._homomorphism_search
+        per_index = []
+
+        def counted_search(group, r):
+            before = work_counts["chain builds"]
+            result = search(group, r)
+            per_index.append(work_counts["chain builds"] - before)
+            return result
+
+        monkeypatch.setattr(subsearch, "_homomorphism_search", counted_search)
+        generators = "\n".join([
+            "(1 2)(3 4)(5 6)(7 8)(9 10)(11 12)(13 14)(15 16)",
+            "(2 9 5 3 10 13 7 12 6 11 14 15 16 8 4)",
+            "(3 4)(7 8)(11 12)(15 16)",
+        ])
+        code, out, _ = run(
+            capsys, "group-check", "--degree", "16", "--generators", generators,
+            "--format", "machine",
+        )
+        report = json.loads(out)
+        assert code == EXIT_OK
+        assert report["outcome"] == "INCONCLUSIVE" and not report["conditional"]
+        assert any("undecided" in c for c in report["caveats"])
+        assert per_index and max(per_index) <= budget
 
     def test_dump_centralizer_reuses_the_engine_commutant(self, capsys, monkeypatch):
         calls = []
@@ -250,6 +282,32 @@ class TestWorkCounts:
         )
         assert code == EXIT_OK and "# heart commutant" in out
         assert len(calls) == 1
+
+
+class TestGiantsBuildNoChain:
+    """S_n and A_n are recognised by Jordan's theorem, with no chain."""
+
+    GOLDEN = json.loads((Path(__file__).resolve().parent / "golden_reports.json").read_text())
+
+    @pytest.mark.parametrize("name", ["S9", "A9", "S12", "A12", "S24", "A24"])
+    def test_giant_report_needs_no_chain(self, capsys, monkeypatch, name):
+        argv = ("group-check", "--degree", name[1:], "--generators", name, "--format", "machine")
+        # the reference report: giant test off, order and transitivity from the chain
+        with monkeypatch.context() as m:
+            m.setattr(PermGroup, "giant", property(lambda self: None))
+            code, chain_report, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+
+        def refuse(cls, *args, **kwargs):
+            raise AssertionError("stabilizer chain built")
+
+        monkeypatch.setattr(StabilizerChain, "build", classmethod(refuse))
+        code, report, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert report == chain_report
+        key = " ".join(argv[:-2])
+        if key in self.GOLDEN:
+            assert report == self.GOLDEN[key]
 
 
 class TestSpinningWorkCounts:

@@ -1,8 +1,10 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from endocert.permgroup import Perm, PermGroup, families as fam
+from endocert.permgroup import Perm, PermGroup, StabilizerChain, families as fam
+from endocert.permgroup.groups import _has_jordan_witness
 from oracles import closure_order
 
 # groups of order <= 10^4 for the chain-vs-closure order census
@@ -142,3 +144,130 @@ def test_conjugate_preserves_order():
     g = fam.psl2(7)
     h = Perm.parse("(1 3)(2 8 4)", 8)
     assert g.conjugate(h).order() == g.order()
+
+
+# -- the giant test against the chain -------------------------------------------
+
+
+def _chain_order_and_transitivity(group: PermGroup) -> tuple[int, int]:
+    """Order and transitivity degree read off a freshly built chain."""
+    n = group.degree
+    chain = StabilizerChain.build(n, [g.images for g in group.generators])
+    k = 0
+    while k < n and chain.basic_orbit_size(k) == n - k:
+        k += 1
+    return chain.order(), k
+
+
+def _assert_giant_agrees_with_chain(group: PermGroup) -> None:
+    order, trans = _chain_order_and_transitivity(group)
+    full = math.factorial(group.degree)
+    expected_order = {"symmetric": full, "alternating": full // 2, None: order}
+    assert expected_order[group.giant] == order
+    assert (group.order(), group.transitivity_degree()) == (order, trans)
+
+
+def _pgl2_5_on_6() -> PermGroup:
+    # x -> x + 1, x -> 2x (2 is a non-square mod 5) and x -> -1/x on
+    # GF(5) and infinity = point 6
+    return PermGroup.from_cycle_strings(6, ["(1 2 3 4 5)", "(2 3 5 4)", "(1 6)(2 5)"])
+
+
+def _s3_times_s3() -> PermGroup:
+    return PermGroup.from_cycle_strings(6, ["(1 2)", "(1 2 3)", "(4 5)", "(4 5 6)"])
+
+
+def _s4_fixing_a_point() -> PermGroup:
+    # every block test passes (the closure of {0, b} is 0 and the orbit of
+    # b): only the transitivity step keeps it from being called S5
+    return PermGroup.from_cycle_strings(5, ["(2 3)", "(2 3 4 5)"])
+
+
+# no Jordan witness in these generating sets: a prime cycle of length
+# n - 1 (PSL(2,7), PGL(2,5)) or n (AGL(1,7)) proves nothing, and S3 x S3
+# and S4 fixing a point are intransitive although they hold transpositions
+NON_GIANTS = [
+    ("M11", lambda: fam.mathieu_group(11)),
+    ("M12", lambda: fam.mathieu_group(12)),
+    ("M22", lambda: fam.mathieu_group(22)),
+    ("M23", lambda: fam.mathieu_group(23)),
+    ("M24", lambda: fam.mathieu_group(24)),
+    ("PSL(2,7) on 8", lambda: fam.psl2(7)),
+    ("PGL(2,5) on 6", _pgl2_5_on_6),
+    ("AGL(1,7)", lambda: fam.affine_group_of_prime(7, 3)),
+    ("A7 on 15", fam.a7_on_15_points),
+    ("PSL(2,25)", lambda: fam.psl2(25)),
+    ("S3 x S3", _s3_times_s3),
+    ("S4 fixing a point", _s4_fixing_a_point),
+]
+
+FAMILIES = [
+    *((f"C{n}", lambda n=n: fam.cyclic_group(n)) for n in (3, 7, 12)),
+    *((f"D{n}", lambda n=n: fam.dihedral_group(n)) for n in (3, 4, 10)),
+    *((f"S{n}", lambda n=n: fam.symmetric_group(n)) for n in (2, 3, 4, 5, 8, 9, 12)),
+    *((f"A{n}", lambda n=n: fam.alternating_group(n)) for n in (3, 4, 5, 8, 9, 12)),
+    ("AGL1(5) subgroup", lambda: fam.affine_group_of_prime(5, 4)),
+    ("F20", fam.frobenius_group_20),
+    ("F21", fam.frobenius_group_21),
+    ("F42", fam.frobenius_group_42),
+    *((f"PSL(2,{q})", lambda q=q: fam.psl2(q)) for q in (5, 7, 9, 11, 13, 25)),
+    *((f"M{n}", lambda n=n: fam.mathieu_group(n)) for n in (11, 12, 22, 23, 24)),
+    ("PSL(2,11) on 11", fam.psl2_11_on_11_points),
+    ("A7 on 15", fam.a7_on_15_points),
+    ("PSL(2,7) on 7", fam.psl2_7_on_7_points),
+    ("GL(2,3) regular", lambda: fam.gl2_regular(3)),
+]
+
+
+@st.composite
+def cycle_plus_random(draw):
+    """A relabelled n-cycle and one or two random permutations, n = 3..12;
+    many of these are S_n or A_n."""
+    n = draw(st.integers(3, 12))
+    relabel = draw(st.permutations(range(n)))
+    cycle = Perm.from_cycles(n, [relabel])
+    extra = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=2))
+    return PermGroup(n, [cycle, *(Perm(tuple(p)) for p in extra)])
+
+
+class TestGiant:
+    @pytest.mark.parametrize("name,build", FAMILIES, ids=[f[0] for f in FAMILIES])
+    def test_family_agrees_with_chain(self, name, build):
+        _assert_giant_agrees_with_chain(build())
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_family_giants_are_recognised(self, n):
+        assert fam.symmetric_group(n).giant == "symmetric"
+        assert fam.alternating_group(n).giant == "alternating"
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(cycle_plus_random())
+    @example(fam.mathieu_group(11))
+    @example(fam.mathieu_group(12))
+    @example(fam.mathieu_group(22))
+    @example(fam.mathieu_group(23))
+    @example(fam.mathieu_group(24))
+    @example(fam.psl2(7))
+    @example(_pgl2_5_on_6())
+    @example(fam.affine_group_of_prime(7, 3))
+    @example(fam.a7_on_15_points())
+    @example(fam.psl2(25))
+    @example(_s3_times_s3())
+    @example(_s4_fixing_a_point())
+    def test_random_groups_agree_with_chain(self, group):
+        _assert_giant_agrees_with_chain(group)
+
+    @pytest.mark.parametrize("name,build", NON_GIANTS, ids=[g[0] for g in NON_GIANTS])
+    def test_named_non_giants_get_no_witness(self, name, build):
+        group = build()
+        assert group.giant is None
+        if _chain_order_and_transitivity(group)[1] >= 1:
+            assert not _has_jordan_witness([g.images for g in group.generators], group.degree)
+
+    def test_giant_without_a_witness_falls_back_to_the_chain(self):
+        # S6 from a 6-cycle and a 5-cycle-with-fixed-point whose products
+        # carry no prime cycle of length 2, 3 or <= n - 3 = 3
+        group = PermGroup.from_cycle_strings(6, ["(1 2 3 4 5 6)", "(1 2 3 4 5)"])
+        assert not _has_jordan_witness([g.images for g in group.generators], 6)
+        assert group.giant is None
+        assert group.order() == 720 and group.transitivity_degree() == 6

@@ -197,6 +197,16 @@ class TestNormalSubgroupDescent:
         assert 2 * even.order() == group.order()
 
 
+def test_backtrack_past_its_budget_is_unknown(monkeypatch):
+    # S4 has index-3 subgroups, found by the backtrack within the budget
+    assert has_proper_subgroup_of_index(fam.symmetric_group(4), 3)[0] is True
+    monkeypatch.setattr(subsearch, "BACKTRACK_MAX_ASSIGNMENTS", 0)
+    answer = has_proper_subgroup_of_index(fam.symmetric_group(4), 3)
+    assert answer == ("unknown", None, "unknown")
+    report = min_proper_subgroup_index(fam.symmetric_group(4), 3)
+    assert not report.decided and report.notes == ["index 2 undecided: resource bound exceeded"]
+
+
 class TestPsl2Criterion:
     @pytest.mark.parametrize("q", [5, 7, 9, 11, 13])
     def test_true_for_small_q(self, q):
