@@ -1,9 +1,14 @@
 """Constructors for the standard group families the engine works with.
 
-Degrees follow the 0-based point convention.  The Mathieu generator sets
-are the classical published ones; their orders and transitivity degrees
-are pinned by tests against the sharp k-transitivity order identities
-(e.g. |M12| = 12*11*10*9*8), so a transcription error cannot pass.
+Degrees follow the 0-based point convention; cycle strings are 1-based.
+No constructor searches: every named group is a written-out generating
+set.  The Mathieu generator sets are the classical published ones; the
+exceptional actions of PSL(2, 7) on 7 points, PSL(2, 11) on 11 and A7 on
+15, and the generating pair of GL(2, q) for q = 2, 3, are the ones a
+coset-action search over the natural copies returns.  Orders and
+transitivity degrees are pinned by tests against brute-force closure and
+the sharp k-transitivity order identities (e.g. |M12| = 12*11*10*9*8), so
+a transcription error cannot pass.
 Every call builds a new group, so nothing one caller computes on it (its
 chain, its simplicity answer) reaches another.
 """
@@ -11,10 +16,9 @@ chain, its simplicity answer) reaches another.
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..arith import is_prime
-from .chain import closure_elements
 from .groups import PermGroup
 from .perms import Perm
 
@@ -249,159 +253,59 @@ MATHIEU_ORDERS = {
 }
 
 
-# -- coset-action constructions ----------------------------------------------
-
-
-def _find_subgroup_of_order(
-    group: PermGroup,
-    target: int,
-    first_order: int,
-    second_order: int,
-) -> Optional[list[tuple[int, ...]]]:
-    """First 2-generated subgroup of the target order, deterministic scan.
-
-    Scans pairs (x, y) with the given element orders in sorted element
-    order; closure enumeration is cut off just above the target.
-    """
-    degree = group.degree
-    elements = sorted(bytes(t) for t in group.chain.elements())
-    perms = [tuple(b) for b in elements]
-    firsts = [p for p in perms if Perm(p).order() == first_order]
-    seconds = [p for p in perms if Perm(p).order() == second_order]
-    for x in firsts:
-        for y in seconds:
-            elems = closure_elements(degree, [x, y], limit=target + 1)
-            if elems is not None and len(elems) == target:
-                return [x, y]
-    return None
-
-
-def coset_action(group: PermGroup, subgroup_gens: Sequence[Perm]) -> PermGroup:
-    """Action of the group on the left cosets of the given subgroup.
-
-    Cosets are labelled 0..r-1 in order of their minimal element (bytes
-    order), so the construction is deterministic.
-    """
-    degree = group.degree
-    sub = closure_elements(degree, [g.images for g in subgroup_gens])
-    assert sub is not None
-    all_elems = closure_elements(degree, [g.images for g in group.generators])
-    assert all_elems is not None
-    sub_tuples = [tuple(b) for b in sub]
-
-    coset_of: dict[bytes, int] = {}
-    coset_reps: list[tuple[int, ...]] = []
-    for key in sorted(all_elems):
-        if key in coset_of:
-            continue
-        g = tuple(key)
-        idx = len(coset_reps)
-        coset_reps.append(g)
-        for h in sub_tuples:
-            gh = tuple(g[i] for i in h)  # g o h
-            coset_of[bytes(gh)] = idx
-    r = len(coset_reps)
-    action_gens = []
-    for gen in group.generators:
-        images = [0] * r
-        for idx, rep in enumerate(coset_reps):
-            moved = tuple(gen.images[i] for i in rep)  # gen o rep
-            images[idx] = coset_of[bytes(moved)]
-        action_gens.append(Perm(tuple(images)))
-    return PermGroup(r, action_gens, name=group.name)
-
-
-def psl2_11_on_11_points() -> PermGroup:
-    """The exceptional 2-transitive degree-11 action of PSL(2, 11).
-
-    Built as the coset action on an index-11 subgroup of order 60 of the
-    natural degree-12 copy.
-    """
-    natural = psl2(11)
-    gens = _find_subgroup_of_order(natural, 60, 2, 5)
-    if gens is None:
-        raise RuntimeError("no subgroup of order 60 found in PSL(2,11)")
-    action = coset_action(natural, [Perm(g) for g in gens])
-    action.name = "PSL(2,11) deg 11"
-    return action
-
-
-def a7_on_15_points() -> PermGroup:
-    """The 2-transitive degree-15 action of A7.
-
-    Coset action on an index-15 subgroup of order 168.
-    """
-    natural = alternating_group(7)
-    gens = _find_subgroup_of_order(natural, 168, 7, 2)
-    if gens is None:
-        raise RuntimeError("no subgroup of order 168 found in A7")
-    action = coset_action(natural, [Perm(g) for g in gens])
-    action.name = "A7 deg 15"
-    return action
+# -- exceptional 2-transitive actions (written-out generating sets) ---------
 
 
 def psl2_7_on_7_points() -> PermGroup:
-    """The 2-transitive degree-7 action of PSL(2, 7) ~ PSL(3, 2).
+    """The 2-transitive degree-7 action of PSL(2, 7) ~ PSL(3, 2): the action
+    on the cosets of a subgroup of order 24."""
+    return PermGroup.from_cycle_strings(
+        7, ["(1 7 6 2 5 4 3)", "(2 5)(4 7)"], name="PSL(2,7) deg 7"
+    )
 
-    Coset action on an index-7 subgroup of order 24.
-    """
-    natural = psl2(7)
-    gens = _find_subgroup_of_order(natural, 24, 4, 3)
-    if gens is None:
-        raise RuntimeError("no subgroup of order 24 found in PSL(2,7)")
-    action = coset_action(natural, [Perm(g) for g in gens])
-    action.name = "PSL(2,7) deg 7"
-    return action
+
+def psl2_11_on_11_points() -> PermGroup:
+    """The exceptional 2-transitive degree-11 action of PSL(2, 11): the
+    action on the cosets of a subgroup of order 60 (a copy of A5)."""
+    return PermGroup.from_cycle_strings(
+        11,
+        ["(1 2 11 3 8 7 4 10 6 9 5)", "(1 2)(3 5)(6 9)(8 10)"],
+        name="PSL(2,11) deg 11",
+    )
+
+
+def a7_on_15_points() -> PermGroup:
+    """The 2-transitive degree-15 action of A7: the action on the cosets of
+    a subgroup of order 168 (a copy of PSL(2, 7))."""
+    return PermGroup.from_cycle_strings(
+        15,
+        [
+            "(1 11 8)(2 5 12)(3 9 6)(4 7 10)(13 15 14)",
+            "(2 15 12 11 9 10 5)(3 4 13 8 14 6 7)",
+        ],
+        name="A7 deg 15",
+    )
 
 
 # -- regular actions of matrix groups ----------------------------------------
 
 
 def gl2_regular(q: int) -> PermGroup:
-    """GL(2, q) as a regular permutation group on its own elements."""
-    field = SmallField(q)
-    mats = []
-    for a, b, c, d in itertools.product(field.elements(), repeat=4):
-        det = field.add(field.mul(a, d), field.neg(field.mul(b, c)))
-        if det != 0:
-            mats.append((a, b, c, d))
-    mats.sort()
+    """GL(2, q) for q = 2 or 3 as a regular permutation group on its own
+    elements, matrices (a, b, c, d) in sorted order, acting by left
+    multiplication by [[0, 1], [1, 0]] and [[0, 1], [1, 1]], which generate
+    GL(2, q) for both q."""
+    if q not in (2, 3):
+        raise ValueError(f"gl2_regular is written out for q = 2 and 3 only, not {q}")
+    mats = sorted(
+        m for m in itertools.product(range(q), repeat=4) if (m[0] * m[3] - m[1] * m[2]) % q
+    )
     index = {m: i for i, m in enumerate(mats)}
 
     def mul(m1, m2):
         a, b, c, d = m1
-        e, f_, g, h = m2
-        return (
-            field.add(field.mul(a, e), field.mul(b, g)),
-            field.add(field.mul(a, f_), field.mul(b, h)),
-            field.add(field.mul(c, e), field.mul(d, g)),
-            field.add(field.mul(c, f_), field.mul(d, h)),
-        )
+        e, f, g, h = m2
+        return ((a * e + b * g) % q, (a * f + b * h) % q, (c * e + d * g) % q, (c * f + d * h) % q)
 
-    # left-regular action by a small generating set
-    gens_m = _gl2_generators(field, mats, mul)
-    perms = []
-    for g in gens_m:
-        perms.append(Perm(tuple(index[mul(g, m)] for m in mats)))
+    perms = [Perm(tuple(index[mul(g, m)] for m in mats)) for g in ((0, 1, 1, 0), (0, 1, 1, 1))]
     return PermGroup(len(mats), perms, name=f"GL(2,{q}) regular")
-
-
-def _gl2_generators(field: SmallField, mats, mul) -> list[tuple[int, int, int, int]]:
-    """A generating pair for GL(2, q): greedy search over sorted elements."""
-    target = len(mats)
-    for x in mats:
-        for y in mats:
-            seen = {x, y}
-            frontier = [x, y]
-            while frontier:
-                m = frontier.pop()
-                for g in (x, y):
-                    nm = mul(g, m)
-                    if nm not in seen:
-                        seen.add(nm)
-                        frontier.append(nm)
-                if len(seen) == target:
-                    break
-            if len(seen) == target:
-                return [x, y]
-    raise RuntimeError("GL(2,q) is not 2-generated over the searched range")

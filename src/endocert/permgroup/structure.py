@@ -25,7 +25,12 @@ def _conjugators(group: PermGroup) -> list[tuple[tuple[int, ...], tuple[int, ...
 
 
 def normal_closure(ambient: PermGroup, seeds: Sequence[Perm]) -> PermGroup:
-    """Smallest normal subgroup of ``ambient`` containing ``seeds``."""
+    """Smallest normal subgroup of ``ambient`` containing ``seeds``.
+
+    The chain grown here is handed to the result as its ``chain``: it is
+    the one ``PermGroup.chain`` would build, with the same generators added
+    in the same order on the default base, so no caller builds it again.
+    """
     degree = ambient.degree
     conjugators = _conjugators(ambient)
     chain = StabilizerChain(degree)
@@ -43,7 +48,9 @@ def normal_closure(ambient: PermGroup, seeds: Sequence[Perm]) -> PermGroup:
                 chain.add_generator(y)
                 closure_gens.append(y)
                 queue.append(y)
-    return PermGroup(degree, [Perm(t) for t in closure_gens])
+    closure = PermGroup(degree, [Perm(t) for t in closure_gens])
+    closure.chain = chain
+    return closure
 
 
 def commutator_subgroup(group: PermGroup) -> PermGroup:

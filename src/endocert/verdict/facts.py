@@ -1,9 +1,9 @@
 """Cited facts the engine consumes but never recomputes.
 
-Each record carries the statement used, a citation into the standard
-literature, and a kind tag.  Every verdict that relies on one lists it in
-its checklist with status "assumed"; the table is the single reviewable
-registry of everything taken on faith.
+Each record carries the statement used and a citation into the standard
+literature.  Every verdict that relies on one lists it in its checklist
+with status "assumed"; the table is the single reviewable registry of
+everything taken on faith.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ class FactRecord:
     key: str
     statement: str
     citation: str
-    kind: str  # order | schur-multiplier | min-rep-degree | simplicity |
-    #            ramification | subgroup-index | representation | jacobian
 
 
 _RECORDS = [
@@ -30,7 +28,6 @@ _RECORDS = [
             "on the roots of f."
         ),
         citation="standard 2-descent description of hyperelliptic 2-torsion (Poonen; Schaefer)",
-        kind="jacobian",
     ),
     FactRecord(
         key="klemm-criterion",
@@ -40,7 +37,6 @@ _RECORDS = [
             "the mod-2 permutation module is the scalar field F_2."
         ),
         citation="Klemm, Satz 4 (permutation modules over F_2)",
-        kind="representation",
     ),
     FactRecord(
         key="mortimer-psl2-heart",
@@ -50,7 +46,6 @@ _RECORDS = [
             "endomorphism algebra is the field with 4 elements."
         ),
         citation="Mortimer, permutation modules of the 2-transitive groups",
-        kind="representation",
     ),
     FactRecord(
         key="suzuki-psl2-subgroups",
@@ -59,7 +54,6 @@ _RECORDS = [
             "dividing q-1, q+1, q(q-1)/2, 60, or (b+1)b(b-1) with q a power of b."
         ),
         citation="Suzuki, Group Theory I, theorem 6.25 (subgroups of PSL(2,q))",
-        kind="subgroup-index",
     ),
     FactRecord(
         key="multiply-transitive-classification",
@@ -69,13 +63,11 @@ _RECORDS = [
             "degree (degrees <= 24 relevant here)."
         ),
         citation="classification of multiply transitive groups (Atlas of Finite Groups; Dixon-Mortimer, Permutation Groups)",
-        kind="simplicity",
     ),
     FactRecord(
         key="glq-conjugate-into-glz",
         statement="Every finite subgroup of GL(n,Q) is conjugate to a subgroup of GL(n,Z).",
         citation="Serre, lemma on integral models of finite linear groups",
-        kind="representation",
     ),
     FactRecord(
         key="minkowski-serre-torsion",
@@ -84,7 +76,6 @@ _RECORDS = [
             "torsion-free; for q = 2 its periodic elements have order at most 2."
         ),
         citation="Minkowski; Serre's letter lemma on torsion of congruence kernels",
-        kind="ramification",
     ),
     FactRecord(
         key="quaternion-embeds-gl2-qq",
@@ -95,7 +86,6 @@ _RECORDS = [
             "into GL(2, Z_q)."
         ),
         citation="splitting of quaternion algebras at unramified places; compactness of GL(2,Z_q)",
-        kind="ramification",
     ),
     FactRecord(
         key="quaternion-units-no-perfect",
@@ -108,7 +98,6 @@ _RECORDS = [
             "is a quaternion algebra with center Q(sqrt 5), not Q."
         ),
         citation="finite subgroups of definite quaternion units (binary polyhedral classification); compact-subgroup argument for GL(2,R)",
-        kind="representation",
     ),
     FactRecord(
         key="an-jacobian-trivial-endo",
@@ -118,7 +107,6 @@ _RECORDS = [
             "characteristic 3 this is asserted only for n >= 7."
         ),
         citation="published case analysis of jacobians with alternating Galois group",
-        kind="jacobian",
     ),
     FactRecord(
         key="a5-char3-supersingular-example",
@@ -128,7 +116,6 @@ _RECORDS = [
             "branch cannot be removed there."
         ),
         citation="published characteristic-3 example in the same case analysis",
-        kind="jacobian",
     ),
     FactRecord(
         key="deg7-psl2-not-supersingular",
@@ -138,7 +125,6 @@ _RECORDS = [
             "distinct from 2."
         ),
         citation="published supersingularity exclusion for the degree-7 case",
-        kind="jacobian",
     ),
     FactRecord(
         key="deg11-supersingular-excluded",
@@ -151,7 +137,6 @@ _RECORDS = [
             "over fields."
         ),
         citation="rational representations of SL(2,11) (Janusz; Feit, Th. 6.1-6.2 on Schur indices)",
-        kind="representation",
     ),
     FactRecord(
         key="mathieu-deg11-12-trivial-endo",
@@ -162,25 +147,21 @@ _RECORDS = [
             "every characteristic distinct from 2."
         ),
         citation="published small-Mathieu case analysis",
-        kind="jacobian",
     ),
     FactRecord(
         key="atlas-m22-simple",
         statement="M22 is a simple nonabelian group of order 443520.",
         citation="Atlas of Finite Groups (M22)",
-        kind="simplicity",
     ),
     FactRecord(
         key="atlas-m23-simple",
         statement="M23 is a simple nonabelian group of order 10200960.",
         citation="Atlas of Finite Groups (M23)",
-        kind="simplicity",
     ),
     FactRecord(
         key="atlas-m24-simple",
         statement="M24 is a simple nonabelian group of order 244823040.",
         citation="Atlas of Finite Groups (M24)",
-        kind="simplicity",
     ),
     FactRecord(
         key="m23-quaternion-excluded",
@@ -195,7 +176,6 @@ _RECORDS = [
             "of matrix algebras over fields with no quaternionic summand."
         ),
         citation="Atlas of Finite Groups (M23: multiplier, character degrees); Feit-Tits, projective representations; Feit, Schur indices",
-        kind="representation",
     ),
     FactRecord(
         key="m24-quaternion-excluded",
@@ -207,7 +187,6 @@ _RECORDS = [
             "nontrivial projective representation of dimension 22 cannot exist."
         ),
         citation="Atlas of Finite Groups (M24: multiplier, character degrees); Feit-Tits, projective representations",
-        kind="representation",
     ),
     FactRecord(
         key="m22-q-matrix-excluded",
@@ -219,7 +198,6 @@ _RECORDS = [
             "in the degree-22 Mathieu case."
         ),
         citation="published lemma on real projective representations of M22 covers",
-        kind="representation",
     ),
     FactRecord(
         key="hom-vanishing-escape",
@@ -230,7 +208,6 @@ _RECORDS = [
             "are supersingular abelian varieties."
         ),
         citation="statement of the vanishing theorem for jacobian pairs with independent big Galois images",
-        kind="jacobian",
     ),
     FactRecord(
         key="no-definite-quaternion-surface",
@@ -239,7 +216,6 @@ _RECORDS = [
             "definite quaternion algebra over Q, in any characteristic."
         ),
         citation="char 0: classical (Shimura; see also OZ); char p: Oort, Lemma 4.5",
-        kind="jacobian",
     ),
     FactRecord(
         key="m22-no-20dim-cover-rep",
@@ -249,7 +225,6 @@ _RECORDS = [
             "representation in characteristic zero."
         ),
         citation="Atlas of Finite Groups (character tables of M22 and 2.M22)",
-        kind="representation",
     ),
     FactRecord(
         key="deg22-supersingular-excluded",
@@ -261,7 +236,6 @@ _RECORDS = [
             "exist."
         ),
         citation="published reduction theorem for supersingular jacobians, combined with Atlas character data",
-        kind="jacobian",
     ),
 ]
 

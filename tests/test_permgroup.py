@@ -26,6 +26,7 @@ SMALL_CENSUS = [
     ("PSL2(11)", lambda: fam.psl2(11), 660),
     ("PSL2(13)", lambda: fam.psl2(13), 1092),
     ("M11", lambda: fam.mathieu_group(11), 7920),
+    ("GL(2,2) regular", lambda: fam.gl2_regular(2), 6),
     ("GL(2,3) regular", lambda: fam.gl2_regular(3), 48),
     ("PSL2(11) deg 11", fam.psl2_11_on_11_points, 660),
     ("A7 deg 15", fam.a7_on_15_points, 2520),
@@ -38,6 +39,11 @@ def test_chain_order_matches_brute_force(name, build, expected):
     g = build()
     assert g.order() == expected
     assert closure_order(g.degree, [p.images for p in g.generators]) == expected
+
+
+def test_gl2_regular_is_written_out_for_q_2_and_3_only():
+    with pytest.raises(ValueError):
+        fam.gl2_regular(5)
 
 
 def test_s4_example():

@@ -96,6 +96,19 @@ class TestNormalClosure:
         v4 = normal_closure(s4, [Perm.parse("(1 2)(3 4)", 4)])
         assert v4.order() == 4
 
+    def test_closure_hands_over_its_chain(self, monkeypatch):
+        # the closures' chains are reused, so the only build is M11's own
+        builds = []
+        build = StabilizerChain.build.__func__
+
+        def counting_build(cls, *args, **kwargs):
+            builds.append(args[0])
+            return build(cls, *args, **kwargs)
+
+        monkeypatch.setattr(StabilizerChain, "build", classmethod(counting_build))
+        assert is_simple(fam.mathieu_group(11)) is True
+        assert builds == [11]
+
 
 class TestSimplicity:
     def test_a5_simple(self):

@@ -26,7 +26,7 @@ class TestFactsTable:
         assert len(FACTS) >= 20
         for key, rec in FACTS.items():
             assert rec.key == key
-            assert rec.statement and rec.citation and rec.kind
+            assert rec.statement and rec.citation
 
     def test_assumed_entries_resolve_to_cited_facts(self):
         citations = {rec.citation for rec in FACTS.values()}
