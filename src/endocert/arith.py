@@ -1,4 +1,5 @@
-"""Integer arithmetic shared by every layer: primality, factoring, partitions.
+"""Integer arithmetic shared by every layer: primality, factoring, partitions
+and the sizes of the conjugacy classes of S_n.
 
 Factoring is trial division: group orders and field sizes are far below
 where anything cleverer pays.  Primality is not, because the census
@@ -7,6 +8,7 @@ checks every DDF prime, which may be 2^61 - 1 or more.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, Optional
 
 #: The primes up to 41, and psi_13, the least strong pseudoprime to all of
@@ -83,3 +85,12 @@ def partitions(n: int, largest: Optional[int] = None) -> Iterator[tuple[int, ...
     for k in range(min(n, largest or n), 0, -1):
         for rest in partitions(n - k, k):
             yield (k,) + rest
+
+
+def symmetric_class_size(parts: tuple[int, ...]) -> int:
+    """Number of permutations of cycle type ``parts``: n! / prod k^m_k m_k!."""
+    denom = 1
+    for k in set(parts):
+        m = parts.count(k)
+        denom *= k**m * math.factorial(m)
+    return math.factorial(sum(parts)) // denom

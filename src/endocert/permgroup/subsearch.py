@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Literal, Optional, Union
 
-from ..arith import partitions, prime_power
+from ..arith import partitions, prime_power, symmetric_class_size
 from .chain import StabilizerChain, closure_elements
 from .groups import SUBGROUP_LATTICE_BOUND, PermGroup, _is_transitive
 from .perms import Perm
@@ -71,6 +71,11 @@ def _perms_of_order_dividing(r: int, d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def _count_of_order_dividing(r: int, d: int) -> int:
+    """Number of permutations of Sym(r) whose order divides d."""
+    return sum(symmetric_class_size(t) for t in partitions(r) if d % math.lcm(*t) == 0)
+
+
 def _cycle_type_representatives(r: int, d: int) -> list[tuple[int, ...]]:
     """One permutation per cycle type of Sym(r) whose order divides d."""
     reps = []
@@ -103,11 +108,12 @@ def _homomorphism_search(
         return None
     gen_orders = [Perm(g).order() for g in gens]
     # conjugacy reduction is available for exactly one generator image;
-    # spend it on the one with the largest raw choice set
-    full_choices = [_perms_of_order_dividing(r, d) for d in gen_orders]
-    pivot = max(range(len(gens)), key=lambda i: len(full_choices[i]))
-    choice_lists = list(full_choices)
-    choice_lists[pivot] = _cycle_type_representatives(r, gen_orders[pivot])
+    # spend it on the one with the largest raw choice set, counted by class sizes
+    pivot = max(range(len(gens)), key=lambda i: _count_of_order_dividing(r, gen_orders[i]))
+    choice_lists = [
+        _cycle_type_representatives(r, d) if i == pivot else _perms_of_order_dividing(r, d)
+        for i, d in enumerate(gen_orders)
+    ]
 
     for tried, assignment in enumerate(itertools.product(*choice_lists)):
         if tried == BACKTRACK_MAX_ASSIGNMENTS:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .arith import is_odd_prime_power, is_prime, partitions
+from .arith import is_odd_prime_power, is_prime, partitions, symmetric_class_size
 from .errors import ParseError
 from .permgroup import PermGroup
 from .permgroup.groups import EXHAUSTIVE_BOUND
@@ -436,15 +436,6 @@ def census(f: IntPoly, prime_budget: int = DEFAULT_PRIME_BUDGET) -> CycleTypeCen
 # -- exact distributions and matching -------------------------------------------
 
 
-def _class_size(parts: tuple[int, ...]) -> int:
-    """Number of permutations of cycle type ``parts``: n! / prod k^m_k m_k!."""
-    denom = 1
-    for k in set(parts):
-        m = parts.count(k)
-        denom *= k**m * math.factorial(m)
-    return math.factorial(sum(parts)) // denom
-
-
 def cycle_type_distribution(group: PermGroup) -> dict[tuple[int, ...], Fraction]:
     """Exact cycle-type distribution of a permutation group.
 
@@ -462,7 +453,7 @@ def cycle_type_distribution(group: PermGroup) -> dict[tuple[int, ...], Fraction]
     if order in (full, full // 2):
         even_only = order != full
         return {
-            t: Fraction(_class_size(t), order)
+            t: Fraction(symmetric_class_size(t), order)
             for t in partitions(n)
             if not even_only or (n - len(t)) % 2 == 0
         }
@@ -526,7 +517,12 @@ def _gammq(a: float, x: float) -> float:
 
 @dataclass
 class GroupHypothesis:
-    """One candidate's match against a census."""
+    """One candidate's match against a census.
+
+    ``distribution`` is the candidate's exact cycle-type distribution, or
+    None when a census pattern refuted the candidate by Lagrange before it
+    was computed.
+    """
 
     name: str
     group: PermGroup
@@ -534,9 +530,8 @@ class GroupHypothesis:
     confidence: float
     chi_square: float
     support_contained: bool
-    excess_partitions: tuple[tuple[int, ...], ...]
     transitive_evidence: bool
-    distribution: dict[tuple[int, ...], Fraction]
+    distribution: Optional[dict[tuple[int, ...], Fraction]]
 
 
 def identify(
@@ -548,7 +543,10 @@ def identify(
     A candidate matches when the observed partition support is contained
     in its cycle-type support and the chi-square tail probability of the
     observed partition frequencies against its exact distribution is at
-    least ``MATCH_THRESHOLD``.  Results are sorted by confidence, descending.
+    least ``MATCH_THRESHOLD``.  A census pattern whose lcm does not divide
+    |G| is outside G's support by Lagrange, so such a candidate is rejected
+    (chi-square inf, confidence 0) without computing its distribution.
+    Results are sorted by confidence, descending.
     """
     results = []
     n_cycle_seen = any(
@@ -559,11 +557,12 @@ def identify(
             raise ValueError(
                 f"candidate degree {cand.degree} does not match census degree {sample.degree}"
             )
-        dist = cycle_type_distribution(cand)
-        excess = tuple(sorted(set(sample.counts) - set(dist)))
-        contained = not excess
         if sample.sampled == 0:
             raise ValueError("empty census")
+        order = cand.order()
+        refuted = any(order % math.lcm(*t) for t in sample.counts)
+        dist = None if refuted else cycle_type_distribution(cand)
+        contained = dist is not None and sample.counts.keys() <= dist.keys()
         if contained:
             chi = 0.0
             for t, prob in sorted(dist.items()):
@@ -583,7 +582,6 @@ def identify(
                 confidence=conf,
                 chi_square=chi,
                 support_contained=contained,
-                excess_partitions=excess,
                 transitive_evidence=n_cycle_seen,
                 distribution=dist,
             )

@@ -5,15 +5,18 @@ plain closure enumeration instead of stabilizer chains, dense scalar
 elimination instead of bit-packed rows, exhaustive matrix enumeration and
 the Sylvester kernel in d^2 unknowns instead of spinning, the action
 backtrack alone instead of the index-search ladder, Fraction-based Euclid
-instead of the subresultant gcd, and a square-and-multiply ladder for
-every x^(p^d) instead of the Frobenius matrix.
+instead of the subresultant gcd, a square-and-multiply ladder for
+every x^(p^d) instead of the Frobenius matrix, and every candidate's full
+cycle-type distribution instead of the Lagrange refutation in `identify`.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import product
 
+from endocert import polygal
 from endocert.fflin import FSubalgebra, MatF, kernel
 from endocert.permgroup import subsearch
 
@@ -287,3 +290,30 @@ def ddf_pattern_mod_p(coeffs, p):
             work = _gfp_divmod(work, g, p)[0]
             h = _gfp_divmod(h, work, p)[1]
     return tuple(sorted(degrees, reverse=True))
+
+
+def enumerating_identify(sample, candidates, distribution):
+    """`identify` without its refutation: each candidate's whole distribution.
+
+    ``distribution`` maps a candidate group to its exact cycle-type
+    distribution.  A candidate whose distribution misses an observed pattern
+    gets chi-square inf and confidence 0; any other is scored by the
+    chi-square tail of the observed counts.  Returns one tuple (name,
+    matched, confidence, support_contained, chi_square) per candidate, in
+    the order `identify` sorts its hypotheses.
+    """
+    rows = []
+    for cand in candidates:
+        dist = distribution(cand)
+        contained = set(sample.counts) <= set(dist)
+        chi, conf = math.inf, 0.0
+        if contained:
+            chi = sum(
+                (sample.counts.get(t, 0) - float(prob) * sample.sampled) ** 2
+                / (float(prob) * sample.sampled)
+                for t, prob in sorted(dist.items())
+            )
+            conf = polygal._chi_square_tail(chi, max(len(dist) - 1, 1))
+        matched = contained and conf >= polygal.MATCH_THRESHOLD
+        rows.append((cand.name, matched, conf, contained, chi))
+    return sorted(rows, key=lambda row: (-row[2], row[0]))

@@ -1,11 +1,14 @@
+import functools
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from endocert import polygal
-from endocert.arith import is_prime
+from endocert.arith import is_prime, partitions
 from endocert.errors import ParseError
 from endocert.permgroup import PermGroup, Perm, families as fam
 from endocert.permgroup.chain import StabilizerChain
@@ -21,7 +24,7 @@ from endocert.polygal import (
     joint_census,
     standard_candidates,
 )
-from oracles import ddf_pattern_mod_p, rational_poly_gcd_degree
+from oracles import ddf_pattern_mod_p, enumerating_identify, rational_poly_gcd_degree
 
 
 class TestIntPoly:
@@ -350,6 +353,70 @@ class TestIdentify:
         sample = census(IntPoly.parse("x^3 - 2"), 100)
         hyps = identify(sample, standard_candidates(3))
         assert all(h.confidence < 1 for h in hyps)
+
+    def test_refuted_candidates_compute_no_distribution(self, monkeypatch):
+        # the census of x^12 - x - 1 holds patterns with a 7-cycle, and 7
+        # divides no candidate's order (C12, D12, PSL(2,11) and M12 with its
+        # 95,040 elements), so Lagrange refutes them all
+        computed = []
+        full = polygal.cycle_type_distribution
+
+        def recording(group):
+            computed.append(group.name)
+            return full(group)
+
+        monkeypatch.setattr(polygal, "cycle_type_distribution", recording)
+        hyps = identify(census(IntPoly.parse("x^12 - x - 1")), standard_candidates(12))
+        assert computed == []
+        assert "M12" in {h.name for h in hyps}
+        assert all(h.distribution is None and h.chi_square == math.inf for h in hyps)
+        assert not any(h.matched or h.support_contained or h.confidence for h in hyps)
+
+
+@functools.lru_cache(maxsize=None)
+def _candidates(n):
+    return tuple(standard_candidates(n))
+
+
+_DISTRIBUTIONS = {}
+
+
+def _distribution(group):
+    key = (group.degree, group.name)
+    if key not in _DISTRIBUTIONS:
+        _DISTRIBUTIONS[key] = cycle_type_distribution(group)
+    return _DISTRIBUTIONS[key]
+
+
+@st.composite
+def candidate_censuses(draw):
+    """A census of degree 5..12: patterns drawn from all partitions of n,
+    from one candidate's support, or that candidate's expected counts."""
+    n = draw(st.integers(5, 12))
+    group = draw(st.sampled_from(_candidates(n)))
+    mode = draw(st.sampled_from(["any", "support", "expected"]))
+    if mode == "expected":
+        total = draw(st.integers(20, 300))
+        counts = {t: round(float(q) * total) for t, q in _distribution(group).items()}
+        counts = {t: c for t, c in counts.items() if c} or {(n,): 1}
+    else:
+        shapes = list(partitions(n)) if mode == "any" else sorted(_distribution(group))
+        counts = draw(st.dictionaries(st.sampled_from(shapes), st.integers(1, 40),
+                                      min_size=1, max_size=6))
+    return CycleTypeCensus(degree=n, sampled=sum(counts.values()), counts=counts)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(candidate_censuses())
+def test_identify_agrees_with_the_enumerating_oracle(sample):
+    candidates = _candidates(sample.degree)
+    hyps = identify(sample, candidates)
+    got = [(h.name, h.matched, h.confidence, h.support_contained, h.chi_square) for h in hyps]
+    assert got == enumerating_identify(sample, candidates, _distribution)
+    # a pattern that refutes by Lagrange is outside the enumerated support
+    for group in candidates:
+        refuting = [t for t in sample.counts if group.order() % math.lcm(*t)]
+        assert not set(refuting) & set(_distribution(group))
 
 
 def test_joint_census_independent_pair():

@@ -13,6 +13,7 @@ from endocert.permgroup import (
     subsearch,
 )
 from endocert.permgroup.chain import closure_elements
+from endocert.verdict import analyze_jacobian, case_from_group
 from oracles import backtrack_has_index
 
 
@@ -205,6 +206,29 @@ def test_backtrack_past_its_budget_is_unknown(monkeypatch):
     assert answer == ("unknown", None, "unknown")
     report = min_proper_subgroup_index(fam.symmetric_group(4), 3)
     assert not report.decided and report.notes == ["index 2 undecided: resource bound exceeded"]
+
+
+@pytest.mark.parametrize("r", range(1, 8))
+def test_order_dividing_counts_are_the_list_lengths(r):
+    for d in range(1, 13):
+        count = subsearch._count_of_order_dividing(r, d)
+        assert count == len(subsearch._perms_of_order_dividing(r, d))
+
+
+def test_backtrack_lists_only_the_non_pivot_images(monkeypatch):
+    # A7 on 15 reaches the backtrack at index 7 only; its generators have
+    # orders 3 and 7, and the order-7 one (721 images) is the pivot, taken
+    # up to conjugacy, so only the order-3 images are listed
+    listed = []
+    full_list = subsearch._perms_of_order_dividing
+
+    def recording(r, d):
+        listed.append((r, d))
+        return full_list(r, d)
+
+    monkeypatch.setattr(subsearch, "_perms_of_order_dividing", recording)
+    analyze_jacobian(case_from_group(fam.a7_on_15_points(), 0))
+    assert listed == [(7, 3)]
 
 
 class TestPsl2Criterion:
