@@ -21,7 +21,6 @@ from .permgroup import (
     PermGroup,
     derived_series,
     has_normal_subgroup_of_index_dividing,
-    is_perfect,
     is_simple,
     is_solvable,
     min_proper_subgroup_index,
@@ -33,13 +32,11 @@ from .verdict import (
     CaseInput,
     Outcome,
     Verdict,
-    analyze_center,
     analyze_jacobian,
     case_from_group,
     case_from_polynomial,
     gl_has_element_of_order,
     hom_pair_analysis,
-    multiplication_bound,
 )
 
 __version__ = "0.1.0"
@@ -59,7 +56,6 @@ __all__ = [
     "Verdict",
     "act",
     "algebra_closure",
-    "analyze_center",
     "analyze_jacobian",
     "build_heart",
     "case_from_group",
@@ -73,13 +69,11 @@ __all__ = [
     "heart_centralizer",
     "hom_pair_analysis",
     "identify",
-    "is_perfect",
     "is_simple",
     "is_solvable",
     "is_squarefree",
     "kernel",
     "min_proper_subgroup_index",
-    "multiplication_bound",
     "psl2_subgroup_criterion",
     "rref",
 ]

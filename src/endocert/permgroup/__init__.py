@@ -14,7 +14,6 @@ from .structure import (
     commutator_subgroup,
     derived_series,
     has_normal_subgroup_of_index_dividing,
-    is_perfect,
     is_simple,
     is_solvable,
     normal_closure,
@@ -39,7 +38,6 @@ __all__ = [
     "derived_series",
     "has_normal_subgroup_of_index_dividing",
     "has_proper_subgroup_of_index",
-    "is_perfect",
     "is_simple",
     "is_solvable",
     "min_proper_subgroup_index",

@@ -178,6 +178,18 @@ class StabilizerChain:
         """Strong generators of the idx-th group in the chain."""
         return [g for g, home in self._strong if home >= idx]
 
+    def first_point_stabilizer(self) -> "StabilizerChain":
+        """Chain of the stabilizer of the first base point, read-only.
+
+        It shares this chain's levels from 1 on, and its first level is
+        trivial, so it costs no sifting; neither chain may be extended
+        afterwards.
+        """
+        sub = StabilizerChain(self.degree, self.base_order)
+        sub.levels[1:] = self.levels[1:]
+        sub._strong = [(g, home) for g, home in self._strong if home >= 1]
+        return sub
+
     def elements(self, limit: Optional[int] = None) -> Iterator[tuple[int, ...]]:
         """Iterate all elements via the transversal product; optional cap."""
         if limit is not None and self.order() > limit:

@@ -212,8 +212,13 @@ class PermGroup:
         return PermGroup(self.degree, gens)
 
     def point_stabilizer(self) -> "PermGroup":
-        """Stabilizer of point 0, read off the group's own chain."""
-        return PermGroup(self.degree, [Perm(t) for t in self.chain.level_generators(1)])
+        """Stabilizer of point 0, read off the group's own chain, which it
+        keeps from level 1 on as its ``chain``."""
+        stabilizer = PermGroup(
+            self.degree, [Perm(t) for t in self.chain.level_generators(1)]
+        )
+        stabilizer.chain = self.chain.first_point_stabilizer()
+        return stabilizer
 
     def restriction(self, points: Sequence[int]) -> "PermGroup":
         """Restrict the action to an invariant point set, relabelled 0..k-1."""

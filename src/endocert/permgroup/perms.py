@@ -162,10 +162,6 @@ class Perm:
             out.append(cycle)
         return out
 
-    def cycle_type(self) -> tuple[int, ...]:
-        """Partition of the degree by cycle lengths, sorted descending."""
-        return _cycle_type(self.images)
-
     def order(self) -> int:
         return math.lcm(1, *(len(c) for c in self.cycles()))
 

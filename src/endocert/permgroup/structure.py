@@ -1,17 +1,21 @@
 """Structural invariants: derived series, simplicity, normal subgroups.
 
-A group of order > 2 with an odd generator is refuted as simple by
-parity alone: its even part is a proper nontrivial normal subgroup.
-Otherwise exact paths run whenever the group order is at most
-``EXHAUSTIVE_BOUND`` (conjugacy classes and the normal lattice are found
-by element enumeration).  Above the bound the answer is the honest
-tri-state "unknown" rather than a guess.
+Simplicity is decided in this order.  A group of order > 2 with an odd
+generator is refuted by parity alone: its even part is a proper
+nontrivial normal subgroup.  Above ``EXHAUSTIVE_BOUND`` the answer is the
+honest tri-state "unknown" rather than a guess.  A 2-transitive group
+without a possible regular socle is decided from the conjugacy classes of
+its point stabilizer (Burnside's theorem), and every other group by the
+conjugacy classes of the whole group.  The normal lattice is likewise
+found by element enumeration, up to the same bound.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Literal, Optional, Sequence
 
+from ..arith import is_prime, prime_power
 from .chain import StabilizerChain
 from .groups import EXHAUSTIVE_BOUND, PermGroup
 from .perms import Perm, _invert
@@ -79,10 +83,6 @@ def derived_series(group: PermGroup) -> list[PermGroup]:
     return series
 
 
-def is_perfect(group: PermGroup) -> bool:
-    return commutator_subgroup(group).order() == group.order()
-
-
 def is_solvable(group: PermGroup) -> bool:
     return derived_series(group)[-1].order() == 1
 
@@ -118,17 +118,42 @@ def conjugacy_class_representatives(group: PermGroup) -> Optional[list[Perm]]:
 
 
 def is_simple(group: PermGroup) -> TriState:
-    """Tri-state simplicity test.
+    """Tri-state simplicity test, cached on the group.
 
-    A group of order > 2 with an odd generator is not simple: its
-    intersection with the alternating group has index 2.  Otherwise exact
-    for |G| <= EXHAUSTIVE_BOUND: the normal closure of every nontrivial
-    conjugacy-class representative must be the whole group.  Above the
-    bound the answer is "unknown".  The result is cached on the group.
+    The checks run in this order:
+
+    1. Parity: a group of order > 2 with an odd generator is not simple,
+       since its intersection with the alternating group has index 2.
+    2. The bound: above ``EXHAUSTIVE_BOUND`` the answer is "unknown".
+    3. The stabilizer rule, for a 2-transitive G that cannot have a
+       regular socle (``_may_have_regular_socle``).  By Burnside's theorem
+       (Dixon-Mortimer §4.1) a minimal normal subgroup M of G is then
+       transitive and not regular, so M meets the stabilizer G_0 in a
+       nontrivial normal subgroup of G_0.  That holds a class
+       representative of G_0 of prime order, whose normal closure lies in
+       M.  So G is simple exactly when each such representative has the
+       whole of G as its normal closure.
+    4. Class enumeration: every conjugacy-class representative of G of
+       prime order must have the whole group as its normal closure, since
+       every nontrivial normal subgroup holds one.
     """
     if group._simple is None:
         group._simple = _is_simple_uncached(group)
     return group._simple
+
+
+def _may_have_regular_socle(group: PermGroup) -> bool:
+    """Whether a 2-transitive group may have a regular normal subgroup.
+
+    Such a subgroup is elementary abelian of order n = p^d, and G then lies
+    in AGL(d, p), so |G| divides p^d |GL(d, p)|.
+    """
+    pd = prime_power(group.degree)
+    if pd is None:
+        return False
+    p, d = pd
+    agl_order = p**d * math.prod(p**d - p**i for i in range(d))
+    return agl_order % group.order() == 0
 
 
 def _is_simple_uncached(group: PermGroup) -> TriState:
@@ -139,10 +164,12 @@ def _is_simple_uncached(group: PermGroup) -> TriState:
         return False
     if order > EXHAUSTIVE_BOUND:
         return "unknown"
+    by_stabilizer = group.transitivity_degree() >= 2 and not _may_have_regular_socle(group)
+    classes_of = group.point_stabilizer() if by_stabilizer else group
     return all(
         normal_closure(group, [rep]).order() == order
-        for rep in conjugacy_class_representatives(group)
-        if not rep.is_identity()
+        for rep in conjugacy_class_representatives(classes_of)
+        if is_prime(rep.order())
     )
 
 

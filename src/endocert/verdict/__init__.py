@@ -7,12 +7,10 @@ from .engine import (
     Outcome,
     SCHEMA_VERSION,
     Verdict,
-    analyze_center,
     analyze_jacobian,
     case_from_group,
     case_from_polynomial,
     hom_pair_analysis,
-    multiplication_bound,
     recognize,
     unidentified_verdict,
 )
@@ -29,7 +27,6 @@ __all__ = [
     "OrderWitness",
     "SCHEMA_VERSION",
     "Verdict",
-    "analyze_center",
     "analyze_jacobian",
     "case_from_group",
     "case_from_polynomial",
@@ -37,7 +34,6 @@ __all__ = [
     "gl_has_element_of_order",
     "hom_pair_analysis",
     "matrix_order_is",
-    "multiplication_bound",
     "recognize",
     "unidentified_verdict",
 ]

@@ -371,20 +371,6 @@ class CenterAnalysis:
     blocked: Optional[str] = None  # first failed/unknown hypothesis, if any
 
 
-def analyze_center(group: PermGroup) -> CenterAnalysis:
-    """Centralizer-driven analysis of the center of the endomorphism algebra.
-
-    Route 1 (field commutant): if no proper subgroup realizes the
-    2-power-adjusted escape indices r/2^j for r dividing the genus, the
-    center of the endomorphism algebra is a field.  Route 2 (scalar
-    commutant): with no index-2 subgroup and no normal subgroup of index
-    dividing the genus, the center is Q itself unless an r > 2 escape is
-    live, in which case a product decomposition remains possible.  The
-    genus is read off the group's degree n as (n - 1) // 2.
-    """
-    return _center_analysis(_Ctx(group))
-
-
 def _scan_escapes(ctx: _Ctx, escapes: dict[int, list[int]]) -> tuple[set[int], Optional[int]]:
     """Ask about each escape index m, ascending: (live r values, first undecided m).
 
@@ -402,6 +388,16 @@ def _scan_escapes(ctx: _Ctx, escapes: dict[int, list[int]]) -> tuple[set[int], O
 
 
 def _center_analysis(ctx: _Ctx) -> CenterAnalysis:
+    """Centralizer-driven analysis of the center of the endomorphism algebra.
+
+    Route 1 (field commutant): if no proper subgroup realizes the
+    2-power-adjusted escape indices r/2^j for r dividing the genus, the
+    center of the endomorphism algebra is a field.  Route 2 (scalar
+    commutant): with no index-2 subgroup and no normal subgroup of index
+    dividing the genus, the center is Q itself unless an r > 2 escape is
+    live, in which case a product decomposition remains possible.  The
+    genus is read off the group's degree n as (n - 1) // 2.
+    """
     n = ctx.group.degree
     if n == 4:
         raise ValueError("degree 4 is refused: the heart action is not faithful")
@@ -1170,21 +1166,3 @@ def hom_pair_analysis(
         },
     )
     return verdict
-
-
-def multiplication_bound(dim_x: int, e_degree: int) -> tuple[int, int]:
-    """Largest possible centralizer dimension for a number-field action.
-
-    For a number field of degree e acting on an abelian variety of
-    dimension dim_x, the degree must divide 2*dim_x; with d their
-    quotient, the centralizer of the field in the endomorphism algebra
-    has dimension at most d^2 over the field.
-    """
-    if dim_x < 1 or e_degree < 1:
-        raise ValueError("dimensions must be positive")
-    if (2 * dim_x) % e_degree != 0:
-        raise ValueError(
-            f"the field degree {e_degree} must divide 2*dim = {2 * dim_x}"
-        )
-    d = 2 * dim_x // e_degree
-    return d, d * d

@@ -38,6 +38,13 @@ def closure_order(degree, generators, limit=10**6):
     return len(seen)
 
 
+def cycle_type(perm):
+    """Cycle lengths of a Perm, fixed points included, descending, from its cycles."""
+    lengths = [len(c) for c in perm.cycles()]
+    lengths += [1] * (perm.degree - sum(lengths))
+    return tuple(sorted(lengths, reverse=True))
+
+
 def dense_rref_mod_p(entries, p):
     """Scalar reduced row echelon form; returns (rows, rank, pivots)."""
     rows = [list(r) for r in entries]

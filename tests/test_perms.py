@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from endocert.errors import ParseError
 from endocert.permgroup import Perm
+from endocert.permgroup.perms import _cycle_type
 
 
 def random_perm(n):
@@ -14,7 +15,7 @@ class TestBasics:
         e = Perm.identity(5)
         assert e.is_identity()
         assert e.order() == 1
-        assert e.cycle_type() == (1, 1, 1, 1, 1)
+        assert _cycle_type(e.images) == (1, 1, 1, 1, 1)
 
     def test_not_a_permutation(self):
         with pytest.raises(ValueError):
@@ -36,7 +37,7 @@ class TestBasics:
 
     def test_cycle_type_and_parity(self):
         p = Perm.parse("(1 2)(3 4 5)", 6)
-        assert p.cycle_type() == (3, 2, 1)
+        assert _cycle_type(p.images) == (3, 2, 1)
         assert not p.is_even()
         assert Perm.parse("(1 2 3)", 4).is_even()
 

@@ -24,7 +24,7 @@ from endocert.polygal import (
     joint_census,
     standard_candidates,
 )
-from oracles import ddf_pattern_mod_p, enumerating_identify, rational_poly_gcd_degree
+from oracles import cycle_type, ddf_pattern_mod_p, enumerating_identify, rational_poly_gcd_degree
 
 
 class TestIntPoly:
@@ -249,8 +249,8 @@ class TestDistributions:
         for group in (fam.symmetric_group(n), fam.alternating_group(n)):
             counts: dict[tuple[int, ...], int] = {}
             for t in group.chain.elements():
-                cycle_type = Perm(t).cycle_type()
-                counts[cycle_type] = counts.get(cycle_type, 0) + 1
+                key = cycle_type(Perm(t))
+                counts[key] = counts.get(key, 0) + 1
             enumerated = {t: Fraction(c, group.order()) for t, c in counts.items()}
             closed = cycle_type_distribution(group)
             assert closed.keys() == enumerated.keys()
@@ -279,7 +279,8 @@ class TestDistributions:
         group = build()
         counts: dict[tuple[int, ...], int] = {}
         for t in group.chain.elements():
-            counts[Perm(t).cycle_type()] = counts.get(Perm(t).cycle_type(), 0) + 1
+            key = cycle_type(Perm(t))
+            counts[key] = counts.get(key, 0) + 1
 
         def refuse(self):
             raise AssertionError("Perm built while enumerating")

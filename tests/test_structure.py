@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from endocert.permgroup import (
+    commutator_subgroup,
     conjugacy_class_representatives,
     derived_series,
     has_normal_subgroup_of_index_dividing,
-    is_perfect,
     is_simple,
     is_solvable,
     normal_closure,
@@ -15,6 +15,12 @@ from endocert.permgroup import (
 )
 from endocert.permgroup import structure
 from endocert.permgroup.chain import StabilizerChain
+from endocert.permgroup.families import SmallField
+from endocert.permgroup.subsearch import has_proper_subgroup_of_index
+
+
+def is_perfect(group):
+    return commutator_subgroup(group).order() == group.order()
 
 
 def _simple_by_classes(group):
@@ -27,6 +33,61 @@ def _simple_by_classes(group):
         for rep in conjugacy_class_representatives(group)
         if not rep.is_identity()
     )
+
+
+def _pgammal2_8():
+    """PΓL(2,8) on the projective line over F_8: PSL(2,8) and x -> x^2."""
+    psl = fam.psl2(8)
+    field = SmallField(8)
+    frobenius = Perm(tuple(field.mul(x, x) for x in field.elements()) + (8,))
+    return PermGroup(9, list(psl.generators) + [frobenius])
+
+
+def _m10():
+    return fam.mathieu_group(11).point_stabilizer().restriction(range(1, 11))
+
+
+#: 2-transitive groups below the bound, and whether the stabilizer rule
+#: decides them: the others may have a regular socle and fall back.
+TWO_TRANSITIVE = {
+    **{f"PSL(2,{q})": (lambda q=q: fam.psl2(q), q not in (7, 31))
+       for q in (4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 49)},
+    **{f"PSL(2,{q})": (lambda q=q: fam.psl2(q), False) for q in (2, 3)},
+    "M11": (lambda: fam.mathieu_group(11), True),
+    "M11 on 12": (lambda: fam.mathieu_group(12).point_stabilizer().restriction(range(1, 12)), True),
+    "M12": (lambda: fam.mathieu_group(12), True),
+    "A7 on 15": (fam.a7_on_15_points, True),
+    "PSL(2,11) on 11": (fam.psl2_11_on_11_points, True),
+    "PSL(2,7) on 7": (fam.psl2_7_on_7_points, True),
+    **{f"A{n}": (lambda n=n: fam.alternating_group(n), True) for n in range(5, 10)},
+    "A4": (lambda: fam.alternating_group(4), False),
+    "F20": (fam.frobenius_group_20, False),
+    "AGL(1,7)": (fam.frobenius_group_42, False),
+    "M10": (_m10, True),
+    "PΓL(2,8)": (_pgammal2_8, True),
+}
+_ORACLE: dict[str, bool] = {}
+
+
+def _oracle(name):
+    """The class-enumeration answer for a TWO_TRANSITIVE group, computed once."""
+    if name not in _ORACLE:
+        _ORACLE[name] = _simple_by_classes(TWO_TRANSITIVE[name][0]())
+    return _ORACLE[name]
+
+
+def _count_elements(monkeypatch):
+    """Patch chain enumeration to count the elements it yields."""
+    counted = [0]
+    elements = StabilizerChain.elements
+
+    def counting(self, limit=None):
+        for t in elements(self, limit):
+            counted[0] += 1
+            yield t
+
+    monkeypatch.setattr(StabilizerChain, "elements", counting)
+    return counted
 
 
 @st.composite
@@ -183,6 +244,60 @@ class TestSimplicity:
         assert len(reps) == 7  # partitions of 5
         reps = conjugacy_class_representatives(fam.alternating_group(5))
         assert len(reps) == 5
+
+
+class TestStabilizerRule:
+    @pytest.mark.parametrize("name", list(TWO_TRANSITIVE))
+    def test_agrees_with_class_enumeration(self, name, monkeypatch):
+        build, by_rule = TWO_TRANSITIVE[name]
+        group = build()
+        order = group.order()
+        assert order <= structure.EXHAUSTIVE_BOUND
+        assert group.transitivity_degree() >= 2
+        assert structure._may_have_regular_socle(group) is not by_rule
+        expected = _oracle(name)
+        counted = _count_elements(monkeypatch)
+        assert is_simple(group) is expected
+        if by_rule:
+            # the rule enumerates the point stabilizer, never G
+            assert counted[0] == order // group.degree
+
+    @pytest.mark.parametrize("name", ["M10", "PΓL(2,8)"])
+    def test_refutes_non_simple_groups_with_even_generators(self, name):
+        group = TWO_TRANSITIVE[name][0]()
+        assert all(g.is_even() for g in group.generators)
+        assert is_simple(group) is False
+
+    @pytest.mark.parametrize("name", list(TWO_TRANSITIVE))
+    @settings(max_examples=3, deadline=None, derandomize=True)
+    @given(rng=st.randoms(use_true_random=False))
+    def test_relabelling_keeps_the_answer(self, name, rng):
+        group = TWO_TRANSITIVE[name][0]()
+        points = list(range(group.degree))
+        rng.shuffle(points)
+        assert is_simple(group.conjugate(Perm(tuple(points)))) is _oracle(name)
+
+    def test_m11_enumerates_its_point_stabilizer_only(self, monkeypatch):
+        counted = _count_elements(monkeypatch)
+        assert is_simple(fam.mathieu_group(11)) is True
+        assert counted[0] <= 720
+
+    def test_psl2_61_index_5_enumerates_the_borel_subgroup_only(self, monkeypatch):
+        counted = _count_elements(monkeypatch)
+        answer, _, method = has_proper_subgroup_of_index(fam.psl2(61), 5)
+        assert (answer, method) == (False, "lagrange-shortcut")
+        assert counted[0] <= 1830
+
+    def test_point_stabilizer_keeps_the_chain(self, monkeypatch):
+        m12 = fam.mathieu_group(12)
+        assert m12.order() == 95040
+        monkeypatch.setattr(StabilizerChain, "build", None)
+        stabilizer = m12.point_stabilizer()
+        assert stabilizer.order() == 7920
+        assert stabilizer.transitivity_degree() == 0
+        assert stabilizer.chain.basic_orbit_size(1) == 11
+        assert all(g in stabilizer for g in stabilizer.generators)
+        assert m12.generators[0] not in stabilizer
 
 
 class TestNormalIndexDividing:

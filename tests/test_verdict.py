@@ -11,14 +11,34 @@ from endocert.verdict import (
     ChecklistEntry,
     Outcome,
     Verdict,
-    analyze_center,
     analyze_jacobian,
     case_from_group,
     case_from_polynomial,
     hom_pair_analysis,
-    multiplication_bound,
     recognize,
 )
+from endocert.verdict import engine
+
+
+def analyze_center(group):
+    """The center analysis of ``group`` on a fresh context."""
+    return engine._center_analysis(engine._Ctx(group))
+
+
+def multiplication_bound(dim_x, e_degree):
+    """Largest possible centralizer dimension for a number-field action.
+
+    For a number field of degree e acting on an abelian variety of
+    dimension dim_x, the degree must divide 2*dim_x; with d their
+    quotient, the centralizer of the field in the endomorphism algebra
+    has dimension at most d^2 over the field.
+    """
+    if dim_x < 1 or e_degree < 1:
+        raise ValueError("dimensions must be positive")
+    if (2 * dim_x) % e_degree != 0:
+        raise ValueError(f"the field degree {e_degree} must divide 2*dim = {2 * dim_x}")
+    d = 2 * dim_x // e_degree
+    return d, d * d
 
 
 class TestFactsTable:
@@ -139,8 +159,6 @@ class TestAnalyzeCenter:
 
     def test_psl2_heart_commutant_computed_once(self, monkeypatch):
         # q = 9 = 1 (mod 8): the PSL(2,q) rule falls through to the generic route
-        from endocert.verdict import engine
-
         calls = []
         real = engine.heart_centralizer
         monkeypatch.setattr(
