@@ -1,18 +1,16 @@
 """Command-line front end.
 
-Commands:
-  analyze      polynomial (or explicit group) -> jacobian verdict
-  group-check  explicit generators + degree -> jacobian verdict
-  hom-check    two polynomials -> vanishing-homomorphisms verdict
-  identify     polynomial -> census and candidate match table
-  selftest     run the built-in worked-case fixture suite
+Five commands and their flags, in the one ``_COMMANDS`` table that both
+parses the command line and prints ``--help``.  A flag's value follows it
+as ``--flag value`` or ``--flag=value``; abbreviated flags are refused.
 
 Everything is configured by flags (no environment variables) so runs are
 reproducible; machine reports are byte-stable for a fixed command line.
 Each call builds its groups afresh, so repeated calls in one process give
 the same reports after the same work.
 
-Exit codes: 0 any verdict (including INCONCLUSIVE); 2 input/usage errors;
+Exit codes, returned by ``main`` and used as the process exit status: 0 any
+verdict (including INCONCLUSIVE) and ``--help``; 2 input/usage errors;
 3 internal inconsistency (a theorem cross-check tripped, i.e. a bug);
 1 unexpected internal error.  A reader that closes the output pipe early
 (``endocert ... | head -1``) ends the run quietly with 0.
@@ -20,27 +18,21 @@ Exit codes: 0 any verdict (including INCONCLUSIVE); 2 input/usage errors;
 
 from __future__ import annotations
 
-import argparse
+import json
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from .errors import InternalInconsistencyError, ParseError
 from .fflin import format_matrix
-from .permgroup import Perm, PermGroup, parse_generators
+from .permgroup import PermGroup, parse_generators
 from .permgroup import families as fam
 from .polygal import DEFAULT_PRIME_BUDGET, IntPoly, census, identify, standard_candidates
 from .repmod import build_heart, heart_centralizer
-from .verdict import (
-    Outcome,
-    Verdict,
-    analyze_jacobian,
-    case_from_group,
-    case_from_polynomial,
-    hom_pair_analysis,
-    unidentified_verdict,
-)
+from .verdict import (Outcome, Verdict, analyze_jacobian, case_from_group, case_from_polynomial,
+                      hom_pair_analysis, unidentified_verdict)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -48,70 +40,16 @@ EXIT_USAGE = 2
 EXIT_INCONSISTENT = 3
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="endocert",
-        description=(
-            "certify what the implemented endomorphism-algebra theorems say "
-            "about the jacobian of y^2 = f(x), from Galois-group data"
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--char", type=int, default=0,
-                       help="characteristic of the base field (0 or an odd prime; never 2)")
-        p.add_argument("--format", choices=("text", "machine"), default="text",
-                       help="report rendering")
-        p.add_argument("--prime-budget", type=int, default=DEFAULT_PRIME_BUDGET,
-                       help="good odd primes sampled by the census")
-
-    p_an = sub.add_parser("analyze", help="analyze a polynomial's jacobian")
-    add_common(p_an)
-    p_an.add_argument("--poly", help='polynomial, e.g. "x^7 - 7*x + 3"')
-    p_an.add_argument("--coeffs", help='ascending coefficient list, e.g. "3 -7 0 0 0 0 0 1"')
-    p_an.add_argument("--dump-centralizer", action="store_true",
-                      help="also print the heart-commutant basis matrices")
-    p_an.add_argument("--dump-action", action="store_true",
-                      help="also print the generator action matrices on the heart")
-
-    p_gc = sub.add_parser("group-check", help="analyze with an explicitly given Galois group")
-    add_common(p_gc)
-    p_gc.add_argument("--degree", type=int, required=True, help="number of roots n")
-    p_gc.add_argument("--generators", required=True,
-                      help="newline-separated cycle notation, or @file, or a family name like M12 / A5 / PSL2_11")
-    p_gc.add_argument("--dump-centralizer", action="store_true")
-    p_gc.add_argument("--dump-action", action="store_true")
-
-    p_hc = sub.add_parser("hom-check", help="check vanishing of homomorphisms between two jacobians")
-    add_common(p_hc)
-    p_hc.add_argument("--poly", required=True, help="first polynomial")
-    p_hc.add_argument("--poly2", required=True, help="second polynomial")
-
-    p_id = sub.add_parser("identify", help="census a polynomial and rank candidate Galois groups")
-    add_common(p_id)
-    p_id.add_argument("--poly", help="polynomial expression")
-    p_id.add_argument("--coeffs", help="ascending coefficient list")
-
-    p_st = sub.add_parser("selftest", help="run the built-in worked-case fixture suite")
-    p_st.add_argument("--format", choices=("text", "machine"), default="text")
-    return parser
-
-
 def _parse_poly(args) -> IntPoly:
-    if getattr(args, "poly", None):
+    if args.poly:
         return IntPoly.parse(args.poly)
-    if getattr(args, "coeffs", None):
+    if args.coeffs:
         return IntPoly.from_coefficient_text(args.coeffs)
     raise ParseError("one of --poly or --coeffs is required")
 
 
 _FAMILY_NAMES = {
-    "M11": lambda: fam.mathieu_group(11),
-    "M12": lambda: fam.mathieu_group(12),
-    "M22": lambda: fam.mathieu_group(22),
-    "M23": lambda: fam.mathieu_group(23),
-    "M24": lambda: fam.mathieu_group(24),
+    **{f"M{n}": (lambda n=n: fam.mathieu_group(n)) for n in (11, 12, 22, 23, 24)},
     "PSL2_11": fam.psl2_11_on_11_points,
     "PSL2_7": fam.psl2_7_on_7_points,
     "A7_15": fam.a7_on_15_points,
@@ -119,20 +57,16 @@ _FAMILY_NAMES = {
 
 
 def _parse_group(args) -> PermGroup:
-    raw = args.generators
-    degree = args.degree
+    degree, raw = args.degree, args.generators
     key = raw.strip()
     if key.upper() in _FAMILY_NAMES:
         group = _FAMILY_NAMES[key.upper()]()
         if group.degree != degree:
-            raise ParseError(
-                f"family {key} has degree {group.degree}, not {degree}"
-            )
+            raise ParseError(f"family {key} has degree {group.degree}, not {degree}")
         return group
-    if key.upper().startswith("A") and key[1:].isdigit():
-        group = fam.alternating_group(int(key[1:]))
-    elif key.upper().startswith("S") and key[1:].isdigit():
-        group = fam.symmetric_group(int(key[1:]))
+    if key[:1].upper() in ("A", "S") and key[1:].isdigit():
+        giant = fam.alternating_group if key[0] in "Aa" else fam.symmetric_group
+        group = giant(int(key[1:]))
     elif key.startswith("@"):
         try:
             text = Path(key[1:]).read_text()
@@ -147,25 +81,20 @@ def _parse_group(args) -> PermGroup:
 
 
 def _print_dumps(args, group: PermGroup, verdict: Verdict) -> None:
-    if getattr(args, "dump_action", False):
+    if args.dump_action:
         heart = build_heart(group.degree)
         for g in group.generators:
             print(f"# action of {g.cycle_string()}")
             print(format_matrix(heart.act(g)))
-    if getattr(args, "dump_centralizer", False):
-        report = verdict.heart_commutant
-        if report is None:
-            report = heart_centralizer(group)
+    if args.dump_centralizer:
+        report = verdict.heart_commutant or heart_centralizer(group)
         print(f"# heart commutant: {report.classification.value}, dimension {report.dim}")
         for m in report.algebra.basis_matrices():
             print(format_matrix(m))
 
 
 def _emit(verdict, fmt: str) -> None:
-    if fmt == "machine":
-        print(verdict.to_json())
-    else:
-        print(verdict.render_text())
+    print(verdict.to_json() if fmt == "machine" else verdict.render_text())
 
 
 def _cmd_analyze(args) -> int:
@@ -189,10 +118,8 @@ def _cmd_group_check(args) -> int:
 
 
 def _cmd_hom_check(args) -> int:
-    f = IntPoly.parse(args.poly)
-    h = IntPoly.parse(args.poly2)
-    verdict = hom_pair_analysis(f, h, args.char, args.prime_budget)
-    _emit(verdict, args.format)
+    f, h = IntPoly.parse(args.poly), IntPoly.parse(args.poly2)
+    _emit(hom_pair_analysis(f, h, args.char, args.prime_budget), args.format)
     return EXIT_OK
 
 
@@ -201,18 +128,12 @@ def _cmd_identify(args) -> int:
     sample = census(f, args.prime_budget)
     hyps = identify(sample, standard_candidates(f.degree))
     if args.format == "machine":
-        import json
-
         print(json.dumps({
             "schema_version": 1,
             "census": sample.to_stable_dict(),
             "hypotheses": [
-                {
-                    "name": h.name,
-                    "matched": h.matched,
-                    "confidence": h.confidence,
-                    "support_contained": h.support_contained,
-                }
+                {"name": h.name, "matched": h.matched, "confidence": h.confidence,
+                 "support_contained": h.support_contained}
                 for h in hyps
             ],
         }, sort_keys=True, indent=2))
@@ -251,24 +172,18 @@ _SELFTEST_CASES = [
 
 
 def _cmd_selftest(args) -> int:
-    failures = 0
     rows = []
     groups: dict = {}  # constructor -> its group, for this call only
     for name, build, char, expected in _SELFTEST_CASES:
         if build not in groups:
             groups[build] = build()
         verdict = analyze_jacobian(case_from_group(groups[build], char))
-        ok = verdict.outcome in expected
-        failures += 0 if ok else 1
-        rows.append((name, verdict.outcome.value, ok))
+        rows.append((name, verdict.outcome.value, verdict.outcome in expected))
+    failures = sum(not ok for _, _, ok in rows)
     if args.format == "machine":
-        import json
-
         print(json.dumps({
             "schema_version": 1,
-            "results": [
-                {"case": n, "outcome": o, "pass": ok} for n, o, ok in rows
-            ],
+            "results": [{"case": n, "outcome": o, "pass": ok} for n, o, ok in rows],
         }, sort_keys=True, indent=2))
     else:
         width = max(len(n) for n, _, _ in rows)
@@ -278,18 +193,102 @@ def _cmd_selftest(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_INTERNAL
 
 
+# The grammar, which both parses the command line and prints --help: each
+# command's handler, summary and flags.  A flag is (name, type, default,
+# help); the type is int, str, a tuple of choices or bool for a switch, and
+# the default ``...`` marks a required flag.
+_COMMON = (
+    ("--char", int, 0, "characteristic of the base field (0 or an odd prime; never 2)"),
+    ("--format", ("text", "machine"), "text", "report rendering"),
+    ("--prime-budget", int, DEFAULT_PRIME_BUDGET, "good odd primes sampled by the census"),
+)
+_INPUT = (
+    ("--poly", str, None, 'polynomial, e.g. "x^7 - 7*x + 3"'),
+    ("--coeffs", str, None, 'ascending coefficient list, e.g. "3 -7 0 0 0 0 0 1"'),
+)
+_DUMPS = (
+    ("--dump-centralizer", bool, False, "also print the heart-commutant basis matrices"),
+    ("--dump-action", bool, False, "also print the generator action matrices on the heart"),
+)
+_COMMANDS = {
+    "analyze": (_cmd_analyze, "analyze a polynomial's jacobian", _COMMON + _INPUT + _DUMPS),
+    "group-check": (_cmd_group_check, "analyze with an explicitly given Galois group", _COMMON + (
+        ("--degree", int, ..., "number of roots n"),
+        ("--generators", str, ..., "newline-separated cycle notation, or @file, "
+                                   "or a family name like M12 / A5 / PSL2_11"),
+    ) + _DUMPS),
+    "hom-check": (_cmd_hom_check, "check vanishing of homomorphisms between two jacobians",
+                  _COMMON + (("--poly", str, ..., "first polynomial"),
+                             ("--poly2", str, ..., "second polynomial"))),
+    "identify": (_cmd_identify, "census a polynomial and rank candidate Galois groups",
+                 _COMMON + _INPUT),
+    "selftest": (_cmd_selftest, "run the built-in worked-case fixture suite", _COMMON[1:2]),
+}
+_HELP = ("-h", "--help")
+
+
+def _help(command: Optional[str]) -> int:
+    """Print the help of one command, or of the program when ``command`` is None."""
+    if command is None:
+        lines = ["usage: endocert <command> [flags]; `endocert <command> --help` lists its flags",
+                 "certify what the implemented endomorphism-algebra theorems say about the "
+                 "jacobian of y^2 = f(x), from Galois-group data", "commands:"]
+        lines += [f"  {name:<12} {summary}" for name, (_, summary, _) in _COMMANDS.items()]
+    else:
+        lines = [f"usage: endocert {command} [flags]", _COMMANDS[command][1], "flags:"]
+        for name, kind, default, text in _COMMANDS[command][2]:
+            value = "" if kind is bool else "|".join(kind) if isinstance(kind, tuple) else kind.__name__
+            note = (" (required)" if default is ... else "" if default is None or kind is bool
+                    else f" (default {default})")
+            lines.append(f"  {name + ' ' + value:<22} {text}{note}")
+    print("\n".join(lines + ["a flag's value follows it as `--flag value` or `--flag=value`; "
+                             "abbreviated flags are refused"]))
+    return EXIT_OK
+
+
+def _parse(argv: Sequence[str]):
+    """The handler and argument the command line asks for: a command with a
+    namespace of its flags, or ``_help``.  Usage errors raise ``ParseError``."""
+    if argv and argv[0] in _HELP:
+        return _help, None
+    if not argv or argv[0] not in _COMMANDS:
+        given = f"unknown command {argv[0]!r}" if argv else "no command given"
+        raise ParseError(f"{given}; choose one of {', '.join(_COMMANDS)}")
+    command, tokens = argv[0], iter(argv[1:])
+    handler, _, spec = _COMMANDS[command]
+    flags = {name: kind for name, kind, _, _ in spec}
+    values = {name: default for name, _, default, _ in spec}
+    for token in tokens:
+        if token in _HELP:
+            return _help, command
+        name, eq, value = token.partition("=")
+        kind = flags.get(name)
+        if kind is None or (kind is bool and eq):
+            raise ParseError(f"unrecognized argument {token!r} for {command}")
+        if kind is bool:
+            value = True
+        elif not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise ParseError(f"{name} needs a value")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise ParseError(f"{name} needs an integer, not {value!r}") from None
+        elif isinstance(kind, tuple) and value not in kind:
+            raise ParseError(f"{name} must be one of {', '.join(kind)}, not {value!r}")
+        values[name] = value
+    missing = [name for name, value in values.items() if value is ...]
+    if missing:
+        raise ParseError(f"{command} needs {' and '.join(missing)}")
+    return handler, SimpleNamespace(**{n[2:].replace("-", "_"): v for n, v in values.items()})
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "analyze": _cmd_analyze,
-        "group-check": _cmd_group_check,
-        "hom-check": _cmd_hom_check,
-        "identify": _cmd_identify,
-        "selftest": _cmd_selftest,
-    }
     try:
-        code = handlers[args.command](args)
+        handler, args = _parse(sys.argv[1:] if argv is None else argv)
+        code = handler(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

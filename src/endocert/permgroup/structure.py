@@ -2,10 +2,12 @@
 
 Simplicity is decided in this order.  A group of order > 2 with an odd
 generator is refuted by parity alone: its even part is a proper
-nontrivial normal subgroup.  Above ``EXHAUSTIVE_BOUND`` the answer is the
+nontrivial normal subgroup.  A_n (n >= 5) recognised by Jordan's theorem is
+simple with no further work.  Above ``EXHAUSTIVE_BOUND`` the answer is the
 honest tri-state "unknown" rather than a guess.  A 2-transitive group
 without a possible regular socle is decided from the conjugacy classes of
-its point stabilizer (Burnside's theorem), and every other group by the
+its point stabilizer (Burnside's theorem).  Every other group is refuted by
+a generator whose normal closure is proper, and failing that decided by the
 conjugacy classes of the whole group.  The normal lattice is likewise
 found by element enumeration, up to the same bound.
 """
@@ -124,8 +126,10 @@ def is_simple(group: PermGroup) -> TriState:
 
     1. Parity: a group of order > 2 with an odd generator is not simple,
        since its intersection with the alternating group has index 2.
-    2. The bound: above ``EXHAUSTIVE_BOUND`` the answer is "unknown".
-    3. The stabilizer rule, for a 2-transitive G that cannot have a
+    2. Giants: A_n with n >= 5, recognised by ``PermGroup.giant``, is
+       simple, at any degree and with no chain built.
+    3. The bound: above ``EXHAUSTIVE_BOUND`` the answer is "unknown".
+    4. The stabilizer rule, for a 2-transitive G that cannot have a
        regular socle (``_may_have_regular_socle``).  By Burnside's theorem
        (Dixon-Mortimer §4.1) a minimal normal subgroup M of G is then
        transitive and not regular, so M meets the stabilizer G_0 in a
@@ -133,9 +137,12 @@ def is_simple(group: PermGroup) -> TriState:
        representative of G_0 of prime order, whose normal closure lies in
        M.  So G is simple exactly when each such representative has the
        whole of G as its normal closure.
-    4. Class enumeration: every conjugacy-class representative of G of
-       prime order must have the whole group as its normal closure, since
-       every nontrivial normal subgroup holds one.
+    5. Generator closures, for every other group: a nontrivial generator
+       whose normal closure is smaller than G refutes simplicity.
+    6. Class enumeration, when no generator refutes: every
+       conjugacy-class representative of G of prime order must have the
+       whole group as its normal closure, since every nontrivial normal
+       subgroup holds one.
     """
     if group._simple is None:
         group._simple = _is_simple_uncached(group)
@@ -162,10 +169,17 @@ def _is_simple_uncached(group: PermGroup) -> TriState:
         return False
     if order > 2 and group.even_part is not group:
         return False
+    if group.giant == "alternating" and group.degree >= 5:
+        return True
     if order > EXHAUSTIVE_BOUND:
         return "unknown"
-    by_stabilizer = group.transitivity_degree() >= 2 and not _may_have_regular_socle(group)
-    classes_of = group.point_stabilizer() if by_stabilizer else group
+    if group.transitivity_degree() >= 2 and not _may_have_regular_socle(group):
+        classes_of = group.point_stabilizer()
+    elif any(normal_closure(group, [g]).order() < order
+             for g in group.generators if not g.is_identity()):
+        return False
+    else:
+        classes_of = group
     return all(
         normal_closure(group, [rep]).order() == order
         for rep in conjugacy_class_representatives(classes_of)

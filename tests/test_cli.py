@@ -175,6 +175,73 @@ class TestSelftest:
         assert built.count(5) == 1
 
 
+class TestGrammar:
+    """The hand-written parser: usage errors return 2, --help returns 0."""
+
+    @pytest.mark.parametrize("argv", [
+        (),
+        ("frobnicate",),
+        ("group-check", "--degree", "5", "--generators", "A5", "--verbose"),
+        ("group-check", "--degree", "5", "--gen", "A5"),
+        ("group-check", "--generators", "A5", "--degree"),
+        ("analyze", "--poly", "x^5 - 2", "--char", "abc"),
+        ("analyze", "--poly", "x^5 - 2", "--format", "xml"),
+        ("group-check", "--generators", "A5"),
+        ("hom-check", "--poly", "x^3 - 2"),
+    ], ids=["no command", "unknown command", "unknown flag", "abbreviated flag",
+            "missing value", "char not an integer", "format choice", "no degree",
+            "no poly2"])
+    def test_usage_error_returns_2(self, capsys, argv):
+        try:
+            code, out, err = run(capsys, *argv)
+        except SystemExit as exc:
+            pytest.fail(f"main raised SystemExit({exc.code})")
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ("group-check", "--degree", "5", "--generators", "A5", "--char", "3"),
+        ("identify", "--poly", "x^5 - 2", "--prime-budget", "50"),
+    ], ids=["group-check", "identify"])
+    def test_equals_form_gives_the_same_report(self, capsys, argv):
+        spaced = run(capsys, *argv, "--format", "machine")
+        pairs = [f"{flag}={value}" for flag, value in zip(argv[1::2], argv[2::2])]
+        joined = run(capsys, argv[0], *pairs, "--format=machine")
+        assert spaced == joined and spaced[0] == EXIT_OK and spaced[1]
+
+    def test_top_level_help(self, capsys):
+        for flag in ("--help", "-h"):
+            code, out, err = run(capsys, flag)
+            assert code == EXIT_OK and err == ""
+            assert all(command in out for command in cli._COMMANDS)
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_command_help_names_its_flags(self, capsys, command):
+        code, out, err = run(capsys, command, "--help")
+        assert code == EXIT_OK and err == ""
+        flags = [name for name, _, _, _ in cli._COMMANDS[command][2]]
+        assert flags and all(name in out for name in flags)
+        others = {name for _, _, spec in cli._COMMANDS.values() for name, _, _, _ in spec}
+        assert not [name for name in others - set(flags) if f"{name} " in out]
+
+    def test_well_formed_run_imports_no_argparse_gettext_or_locale(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        code = (
+            "import io, sys, contextlib; from endocert.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['group-check', '--degree', '5', '--generators', 'A5']) == 0\n"
+            "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_no_module_imports_argparse(self):
+        users = [path for path in SRC.rglob("*.py") if "import argparse" in path.read_text()]
+        assert users == []
+
+
 @pytest.fixture
 def work_counts(monkeypatch):
     """Count stabilizer-chain builds and conjugacy-class enumerations."""

@@ -188,10 +188,11 @@ class TestSimplicity:
         assert is_simple(fam.cyclic_group(6)) is False
 
     def test_randomized_path_is_honest(self, monkeypatch):
-        # above the bound only parity can refute; nothing is affirmed
+        # above the bound only parity and the giant test answer; a group
+        # that neither decides is "unknown", never affirmed
         monkeypatch.setattr(structure, "EXHAUSTIVE_BOUND", 10)
         assert is_simple(fam.symmetric_group(5)) is False
-        assert is_simple(fam.alternating_group(5)) == "unknown"
+        assert is_simple(fam.psl2_7_on_7_points()) == "unknown"
 
     def test_above_bound_answers_unknown_without_work(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -199,10 +200,32 @@ class TestSimplicity:
 
         monkeypatch.setattr(structure, "normal_closure", refuse)
         monkeypatch.setattr(StabilizerChain, "elements", refuse)
-        a10 = fam.alternating_group(10)
-        assert a10.order() > structure.EXHAUSTIVE_BOUND
-        assert is_simple(a10) == "unknown"
-        assert a10._simple == "unknown"
+        m24 = fam.mathieu_group(24)
+        assert m24.order() > structure.EXHAUSTIVE_BOUND and m24.giant is None
+        assert is_simple(m24) == "unknown"
+        assert m24._simple == "unknown"
+
+    @pytest.mark.parametrize("n", [5, 9, 10, 24])
+    def test_alternating_giants_are_simple_without_a_chain(self, monkeypatch, n):
+        def refuse(*args, **kwargs):
+            raise AssertionError("chain built or normal closure taken")
+
+        monkeypatch.setattr(structure, "normal_closure", refuse)
+        monkeypatch.setattr(StabilizerChain, "build", classmethod(refuse))
+        assert is_simple(fam.alternating_group(n)) is True
+
+    def test_agl4_2_is_refuted_by_a_generator_closure(self, monkeypatch):
+        # the first generator is a translation: its normal closure is the
+        # translation subgroup of order 16, so no class is enumerated
+        group = PermGroup(16, [Perm.parse(c, 16) for c in (
+            "(1 2)(3 4)(5 6)(7 8)(9 10)(11 12)(13 14)(15 16)",
+            "(2 9 5 3 10 13 7 12 6 11 14 15 16 8 4)",
+            "(3 4)(7 8)(11 12)(15 16)",
+        )])
+        counted = _count_elements(monkeypatch)
+        assert group.order() == 322560
+        assert is_simple(group) is False
+        assert counted[0] == 0
 
     def test_class_enumeration_inverts_each_generator_once(self, monkeypatch):
         calls = []
@@ -258,9 +281,16 @@ class TestStabilizerRule:
         expected = _oracle(name)
         counted = _count_elements(monkeypatch)
         assert is_simple(group) is expected
-        if by_rule:
+        if group.giant == "alternating" and group.degree >= 5:
+            # A5-A9 and PSL(2,4) ≅ A5 are simple by Jordan's theorem alone
+            assert counted[0] == 0
+        elif by_rule:
             # the rule enumerates the point stabilizer, never G
             assert counted[0] == order // group.degree
+        elif name in ("PSL(2,3)", "F20", "AGL(1,7)"):
+            # a generator's normal closure is proper; A4 is generated by
+            # 3-cycles, each with closure A4, so it falls back to classes
+            assert counted[0] == 0
 
     @pytest.mark.parametrize("name", ["M10", "PΓL(2,8)"])
     def test_refutes_non_simple_groups_with_even_generators(self, name):
