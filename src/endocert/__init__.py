@@ -20,10 +20,8 @@ from .permgroup import (
     Perm,
     PermGroup,
     derived_series,
-    has_normal_subgroup_of_index_dividing,
     is_simple,
     is_solvable,
-    min_proper_subgroup_index,
     psl2_subgroup_criterion,
 )
 from .polygal import CycleTypeCensus, GroupHypothesis, IntPoly, census, identify, is_squarefree
@@ -65,7 +63,6 @@ __all__ = [
     "derived_series",
     "double_centralizer_check",
     "gl_has_element_of_order",
-    "has_normal_subgroup_of_index_dividing",
     "heart_centralizer",
     "hom_pair_analysis",
     "identify",
@@ -73,7 +70,6 @@ __all__ = [
     "is_solvable",
     "is_squarefree",
     "kernel",
-    "min_proper_subgroup_index",
     "psl2_subgroup_criterion",
     "rref",
 ]

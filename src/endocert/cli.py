@@ -33,6 +33,7 @@ from .polygal import DEFAULT_PRIME_BUDGET, IntPoly, census, identify, standard_c
 from .repmod import build_heart, heart_centralizer
 from .verdict import (Outcome, Verdict, analyze_jacobian, case_from_group, case_from_polynomial,
                       hom_pair_analysis, unidentified_verdict)
+from .verdict.engine import _validate_degree
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -99,6 +100,7 @@ def _emit(verdict, fmt: str) -> None:
 
 def _cmd_analyze(args) -> int:
     f = _parse_poly(args)
+    _validate_degree(f.degree)  # before the census samples any prime
     case, sample, hyps = case_from_polynomial(f, args.char, args.prime_budget)
     if case is None:
         _emit(unidentified_verdict(f, args.char), args.format)

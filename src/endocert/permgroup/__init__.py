@@ -2,8 +2,9 @@
 
 S_n and A_n recognised by Jordan's theorem; orders and membership of every
 other group via deterministic Schreier-Sims chains; transitivity degree,
-derived series, simplicity and normal-subgroup queries; bounded least-index
-subgroup search; and constructors for the standard families.
+derived series, normal closures and simplicity; a bounded search for a
+proper subgroup of a given index; and constructors for the standard
+families.
 """
 
 from .chain import StabilizerChain, closure_elements
@@ -13,15 +14,12 @@ from .structure import (
     conjugacy_class_representatives,
     commutator_subgroup,
     derived_series,
-    has_normal_subgroup_of_index_dividing,
     is_simple,
     is_solvable,
     normal_closure,
 )
 from .subsearch import (
-    SubgroupSearchReport,
     has_proper_subgroup_of_index,
-    min_proper_subgroup_index,
     psl2_subgroup_criterion,
 )
 
@@ -31,16 +29,13 @@ __all__ = [
     "Perm",
     "PermGroup",
     "StabilizerChain",
-    "SubgroupSearchReport",
     "closure_elements",
     "commutator_subgroup",
     "conjugacy_class_representatives",
     "derived_series",
-    "has_normal_subgroup_of_index_dividing",
     "has_proper_subgroup_of_index",
     "is_simple",
     "is_solvable",
-    "min_proper_subgroup_index",
     "normal_closure",
     "parse_generators",
     "psl2_subgroup_criterion",

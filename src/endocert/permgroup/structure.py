@@ -1,4 +1,4 @@
-"""Structural invariants: derived series, simplicity, normal subgroups.
+"""Structural invariants: normal closures, derived series, simplicity.
 
 Simplicity is decided in this order.  A group of order > 2 with an odd
 generator is refuted by parity alone: its even part is a proper
@@ -8,8 +8,7 @@ honest tri-state "unknown" rather than a guess.  A 2-transitive group
 without a possible regular socle is decided from the conjugacy classes of
 its point stabilizer (Burnside's theorem).  Every other group is refuted by
 a generator whose normal closure is proper, and failing that decided by the
-conjugacy classes of the whole group.  The normal lattice is likewise
-found by element enumeration, up to the same bound.
+conjugacy classes of the whole group.
 """
 
 from __future__ import annotations
@@ -184,67 +183,4 @@ def _is_simple_uncached(group: PermGroup) -> TriState:
         normal_closure(group, [rep]).order() == order
         for rep in conjugacy_class_representatives(classes_of)
         if is_prime(rep.order())
-    )
-
-
-def _normal_subgroup_orders(group: PermGroup) -> list[int]:
-    """Orders of all proper nontrivial normal subgroups; |G| <= EXHAUSTIVE_BOUND.
-
-    Every normal subgroup is a join of normal closures of class
-    representatives, so closing that atom set under joins enumerates the
-    normal lattice.
-    """
-    order = group.order()
-    atoms: list[PermGroup] = []
-    for rep in conjugacy_class_representatives(group):
-        if rep.is_identity():
-            continue
-        closure = normal_closure(group, [rep])
-        if closure.order() < order:
-            atoms.append(closure)
-    # close under pairwise joins
-    subgroups: list[PermGroup] = []
-    keys: set[frozenset[bytes]] = set()
-
-    def key_of(h: PermGroup) -> frozenset[bytes]:
-        return frozenset(bytes(t) for t in h.chain.elements(limit=EXHAUSTIVE_BOUND))
-
-    work = list(atoms)
-    while work:
-        h = work.pop()
-        k = key_of(h)
-        if k in keys:
-            continue
-        keys.add(k)
-        subgroups.append(h)
-        for other in list(subgroups):
-            join = PermGroup(
-                group.degree, list(h.generators) + list(other.generators)
-            )
-            if join.order() < order:
-                jk = key_of(join)
-                if jk not in keys:
-                    work.append(join)
-    return sorted(h.order() for h in subgroups)
-
-
-def has_normal_subgroup_of_index_dividing(group: PermGroup, g: int) -> TriState:
-    """Tri-state: does a proper normal subgroup of index dividing g exist?
-
-    Index 1 (the group itself) never counts.  Simplicity shortcuts apply
-    first; the exact path enumerates the normal-subgroup lattice, and
-    above ``EXHAUSTIVE_BOUND`` the answer is "unknown".
-    """
-    if g < 1:
-        raise ValueError("g must be >= 1")
-    order = group.order()
-    if order == 1 or g == 1:
-        return False
-    if order > EXHAUSTIVE_BOUND:
-        return "unknown"
-    if is_simple(group) is True:
-        # only proper normal subgroup is trivial, of index |G|
-        return order <= g and g % order == 0
-    return any(
-        g % (order // h_order) == 0 for h_order in _normal_subgroup_orders(group)
     )

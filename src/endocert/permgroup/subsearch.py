@@ -6,7 +6,7 @@ images to the generators; an assignment extends to a homomorphism iff the
 diagonal subgroup of G x Sym(r) it generates has order |G|, which the
 product-action stabilizer chain checks without needing a presentation.
 
-Strategy ladder per index r (smallest r wins):
+Strategy ladder per index r:
   1. Lagrange: r must divide |G|.
   2. Normal-subgroup descent.  N = G ∩ A_n is normal in G with |G/N| <= 2
      (N = G when every generator is even).  If N is simple and |N| does
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Literal, Optional, Union
 
@@ -47,18 +46,6 @@ BACKTRACK_MAX_INDEX = 8
 BACKTRACK_MAX_ASSIGNMENTS = 1000
 
 SearchMethod = Literal["lagrange-shortcut", "action-backtrack", "exhaustive", "unknown"]
-
-
-@dataclass
-class SubgroupSearchReport:
-    """Outcome of a bounded least-index subgroup search."""
-
-    bound: int
-    found_index: Optional[int] = None
-    method: SearchMethod = "unknown"
-    certificate: Optional[tuple[Perm, ...]] = None
-    decided: bool = True
-    notes: list[str] = field(default_factory=list)
 
 
 @lru_cache(maxsize=256)
@@ -225,36 +212,6 @@ def has_proper_subgroup_of_index(
         cert = _lattice_has_index(group, r)
         return cert is not None, cert, "exhaustive"
     return "unknown", None, "unknown"
-
-
-def min_proper_subgroup_index(group: PermGroup, bound: int) -> SubgroupSearchReport:
-    """Least index r with 1 < r <= bound of a proper subgroup, if any.
-
-    Scans r ascending, so the smallest index wins regardless of which
-    method decides each r; results are deterministic.
-    """
-    if bound < 2:
-        raise ValueError("bound must be >= 2")
-    report = SubgroupSearchReport(bound=bound)
-    best_method: SearchMethod = "lagrange-shortcut"
-    for r in range(2, bound + 1):
-        answer, cert, method = has_proper_subgroup_of_index(group, r)
-        if method == "action-backtrack" and best_method == "lagrange-shortcut":
-            best_method = "action-backtrack"
-        elif method == "exhaustive":
-            best_method = "exhaustive"
-        if answer is True:
-            report.found_index = r
-            report.method = method
-            report.certificate = cert
-            return report
-        if answer == "unknown":
-            report.decided = False
-            report.method = "unknown"
-            report.notes.append(f"index {r} undecided: resource bound exceeded")
-            return report
-    report.method = best_method
-    return report
 
 
 def psl2_subgroup_criterion(q: int) -> bool:

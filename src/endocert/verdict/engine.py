@@ -23,7 +23,6 @@ from ..arith import factorize, is_odd_prime_power, is_prime
 from ..errors import InternalInconsistencyError
 from ..permgroup import (
     PermGroup,
-    has_normal_subgroup_of_index_dividing,
     has_proper_subgroup_of_index,
     is_simple,
     psl2_subgroup_criterion,
@@ -244,6 +243,13 @@ def _validate_char(char: int) -> None:
         raise ValueError(f"characteristic {char} is not prime")
 
 
+def _validate_degree(n: int) -> None:
+    if n < 3:
+        raise ValueError("need at least 3 roots")
+    if n == 4:
+        raise ValueError("degree 4 is refused: the heart action is not faithful")
+
+
 # -- group recognition -----------------------------------------------------------
 
 
@@ -323,14 +329,6 @@ class _Ctx:
             self._index_cache[m] = (not ans) if ans in (True, False) else "unknown"
         return self._index_cache[m]
 
-    def no_normal_subgroup_of_index_dividing(self, g: int) -> TriState:
-        if self.cited_simple is not None:
-            # proper normal subgroups of a simple group: only the trivial one
-            order = self.group.order()
-            return not (order <= g and g % order == 0)
-        ans = has_normal_subgroup_of_index_dividing(self.group, g)
-        return (not ans) if ans in (True, False) else "unknown"
-
 
 def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
@@ -393,15 +391,15 @@ def _center_analysis(ctx: _Ctx) -> CenterAnalysis:
     Route 1 (field commutant): if no proper subgroup realizes the
     2-power-adjusted escape indices r/2^j for r dividing the genus, the
     center of the endomorphism algebra is a field.  Route 2 (scalar
-    commutant): with no index-2 subgroup and no normal subgroup of index
-    dividing the genus, the center is Q itself unless an r > 2 escape is
-    live, in which case a product decomposition remains possible.  The
-    genus is read off the group's degree n as (n - 1) // 2.
+    commutant): with no index-2 subgroup the center is Q itself unless an
+    escape is live, in which case a product decomposition remains
+    possible.  Its hypothesis that no proper normal subgroup has index
+    dividing the genus needs no search of its own: route 1 asked every
+    such index, and a simple group has none.  The genus is read off the
+    group's degree n as (n - 1) // 2.
     """
-    n = ctx.group.degree
-    if n == 4:
-        raise ValueError("degree 4 is refused: the heart action is not faithful")
-    g = (n - 1) // 2
+    _validate_degree(ctx.group.degree)
+    g = (ctx.group.degree - 1) // 2
     report = ctx.centralizer()
     entries: list[ChecklistEntry] = []
     if report.classification is CentralizerClass.SCALARS:
@@ -478,25 +476,20 @@ def _center_analysis(ctx: _Ctx) -> CenterAnalysis:
                 "",
             )
         )
-        # the normal-subgroup condition only matters once the index-2
-        # condition stands; checking it first would waste an exact
-        # lattice enumeration on a dead route
-        no_norm: TriState = "unknown"
         if no_idx2 is True:
-            no_norm = ctx.no_normal_subgroup_of_index_dividing(g)
-            stn: Status = "verified" if no_norm is True else ("failed" if no_norm is False else "unknown")
+            # route 1 asked every r | g, r > 1, as m = r, so with no escape
+            # live no proper subgroup, normal or not, has index dividing g;
+            # and with no index-2 subgroup every live r exceeds 2
+            no_norm = not live_rs or ctx.simple() is True
             entries.append(
                 _entry(
                     "only normal subgroup of index dividing the genus is the group itself",
-                    stn,
-                    "computed: normal-subgroup lattice / simplicity",
+                    "verified" if no_norm else "unknown",
+                    "computed: escape-index search / simplicity",
                     f"genus {g}",
                 )
             )
-        if no_idx2 is True and no_norm is True:
-            # the r > 2 escape indices are among those Route 1 decided
-            live2 = {r for r in live_rs if r > 2}
-            if not live2:
+            if not live_rs:
                 center_is_q = True
                 entries.append(
                     _entry(
@@ -512,7 +505,7 @@ def _center_analysis(ctx: _Ctx) -> CenterAnalysis:
                         "product-decomposition escape (r > 2 dividing the genus) is live",
                         "verified",
                         "computed: bounded subgroup search",
-                        f"live r values {sorted(live2)}; possible factors of dimension {sorted({g // r for r in live2})}",
+                        f"live r values {sorted(live_rs)}; possible factors of dimension {live_product_dims}",
                     )
                 )
     return CenterAnalysis(report, entries, center_is_field, center_is_q, live_product_dims)
@@ -744,10 +737,7 @@ def analyze_jacobian(case: CaseInput) -> Verdict:
     """Full hypothesis-by-hypothesis analysis of one jacobian case."""
     n = case.degree
     _validate_char(case.char)
-    if n < 3:
-        raise ValueError("need at least 3 roots")
-    if n == 4:
-        raise ValueError("degree 4 is refused: the heart action is not faithful")
+    _validate_degree(n)
     if case.group.degree != n:
         raise ValueError("group degree does not match the stated root count")
     entries: list[ChecklistEntry] = [

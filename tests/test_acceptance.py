@@ -21,8 +21,8 @@ from endocert.permgroup import (
     Perm,
     PermGroup,
     families as fam,
+    has_proper_subgroup_of_index,
     is_solvable,
-    min_proper_subgroup_index,
     psl2_subgroup_criterion,
 )
 from endocert.polygal import IntPoly, census, cycle_type_distribution, identify, standard_candidates
@@ -124,10 +124,8 @@ def test_criterion_04_subgroup_criterion_cross_validation():
         assert crit is True
         bound = (q - 1) // 2
         group = fam.psl2(q)
-        if bound >= 2:
-            report = min_proper_subgroup_index(group, bound)
-            assert report.found_index is None, q
-            assert report.decided
+        for r in range(2, bound + 1):
+            assert has_proper_subgroup_of_index(group, r)[0] is False, (q, r)
         # independent: the action backtrack itself, no descent rule
         for r in range(2, min(bound, 6) + 1):
             assert backtrack_has_index(group, r) is False, (q, r)

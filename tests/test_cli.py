@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from endocert import cli, fflin
+from endocert import cli, fflin, polygal
 from endocert.cli import EXIT_OK, EXIT_USAGE, main
 from endocert.fflin import MatF
 from endocert.permgroup import Perm, PermGroup, StabilizerChain, structure, subsearch
@@ -74,6 +75,18 @@ class TestAnalyze:
     def test_missing_input(self, capsys):
         code, _, err = run(capsys, "analyze")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("poly", [
+        "x", "x^2 - 1", "x^2 + 1", "x^4 - 1", "x^4 + 1", "x^4 - x - 1",
+    ])
+    def test_degree_below_3_or_4_refused_before_the_census(self, capsys, monkeypatch, poly):
+        def refuse(f, p):
+            raise AssertionError(f"prime {p} sampled")
+
+        monkeypatch.setattr(polygal, "degree_pattern_mod_p", refuse)
+        code, out, err = run(capsys, "analyze", "--poly", poly)
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("error: ")
 
 
 class TestGroupCheck:
@@ -438,3 +451,11 @@ def test_reader_closing_early_is_quiet():
         os.close(write_fd)
     assert proc.stderr == b""
     assert proc.returncode == EXIT_OK
+
+
+@pytest.mark.parametrize("package", ["endocert", "endocert.permgroup", "endocert.verdict"])
+def test_every_public_name_resolves(package):
+    # a name left in __all__ after its function is deleted would break
+    # `from endocert import *`
+    module = importlib.import_module(package)
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []

@@ -5,7 +5,6 @@ from endocert.permgroup import (
     commutator_subgroup,
     conjugacy_class_representatives,
     derived_series,
-    has_normal_subgroup_of_index_dividing,
     is_simple,
     is_solvable,
     normal_closure,
@@ -329,26 +328,3 @@ class TestStabilizerRule:
         assert all(g in stabilizer for g in stabilizer.generators)
         assert m12.generators[0] not in stabilizer
 
-
-class TestNormalIndexDividing:
-    def test_a7_g7_false(self):
-        assert has_normal_subgroup_of_index_dividing(fam.alternating_group(7), 7) is False
-
-    def test_s4_g2_true(self):
-        assert has_normal_subgroup_of_index_dividing(fam.symmetric_group(4), 2) is True
-
-    def test_c6_g3_true(self):
-        assert has_normal_subgroup_of_index_dividing(fam.cyclic_group(6), 3) is True
-
-    def test_s4_g3_false(self):
-        # normal subgroups of S4 have index 1, 2, 6, 24; none divides 3
-        assert has_normal_subgroup_of_index_dividing(fam.symmetric_group(4), 3) is False
-
-    def test_simple_group_false_for_all_small_g(self):
-        a5 = fam.alternating_group(5)
-        for g in range(2, 60):
-            assert has_normal_subgroup_of_index_dividing(a5, g) is False
-
-    def test_invalid_g(self):
-        with pytest.raises(ValueError):
-            has_normal_subgroup_of_index_dividing(fam.cyclic_group(4), 0)

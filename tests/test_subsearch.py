@@ -7,7 +7,6 @@ from endocert.permgroup import (
     Perm,
     PermGroup,
     has_proper_subgroup_of_index,
-    min_proper_subgroup_index,
     psl2_subgroup_criterion,
     families as fam,
     subsearch,
@@ -52,11 +51,12 @@ def _pgl2_29() -> PermGroup:
 
 
 class TestMinProperSubgroupIndex:
+    """The least index of a proper subgroup, asked at every r up to a bound."""
+
     def test_a5_bound_4_none_by_shortcut(self):
-        report = min_proper_subgroup_index(fam.alternating_group(5), 4)
-        assert report.found_index is None
-        assert report.method == "lagrange-shortcut"
-        assert report.decided
+        a5 = fam.alternating_group(5)
+        for r in range(2, 5):
+            assert has_proper_subgroup_of_index(a5, r) == (False, None, "lagrange-shortcut")
 
     def test_a5_bound_4_cross_checked_by_exhaustion(self):
         # independent: enumerate closures of all generator pairs of A5 and
@@ -72,29 +72,26 @@ class TestMinProperSubgroupIndex:
         assert orders & {30, 20, 15} == set()
         assert 12 in orders  # A4 of index 5 does exist
 
-    def test_psl2_11_bound_5_none(self):
-        report = min_proper_subgroup_index(fam.psl2(11), 5)
-        assert report.found_index is None
-
     def test_a7_bound_7_finds_index_7(self):
         a7 = fam.alternating_group(7)
-        report = min_proper_subgroup_index(a7, 7)
-        assert report.found_index == 7
-        assert report.method == "action-backtrack"
-        assert report.certificate is not None
-        sub = PermGroup(7, report.certificate)
+        for r in range(2, 7):
+            assert has_proper_subgroup_of_index(a7, r)[0] is False
+        ans, cert, method = has_proper_subgroup_of_index(a7, 7)
+        assert ans is True and method == "action-backtrack"
+        sub = PermGroup(7, cert)
         assert a7.order() // sub.order() == 7
-        assert all(p in a7 for p in report.certificate)
+        assert all(p in a7 for p in cert)
 
     def test_s7_finds_index_2(self):
-        report = min_proper_subgroup_index(fam.symmetric_group(7), 3)
-        assert report.found_index == 2
-        sub = PermGroup(7, report.certificate)
-        assert sub.order() == 2520
+        # index 3 is a TestNormalSubgroupDescent case
+        ans, cert, _ = has_proper_subgroup_of_index(fam.symmetric_group(7), 2)
+        assert ans is True
+        assert PermGroup(7, cert).order() == 2520
 
     def test_bound_validation(self):
-        with pytest.raises(ValueError):
-            min_proper_subgroup_index(fam.alternating_group(5), 1)
+        for r in (0, 1):
+            with pytest.raises(ValueError):
+                has_proper_subgroup_of_index(fam.alternating_group(5), r)
 
 
 class TestHasProperSubgroupOfIndex:
@@ -146,7 +143,7 @@ class TestNormalSubgroupDescent:
         monkeypatch.setattr(subsearch, "_homomorphism_search", refuse)
 
     @pytest.mark.parametrize("n, r", [
-        (9, 4), *((12, r) for r in range(3, 9)), (24, 11),
+        (7, 3), (9, 4), *((12, r) for r in range(3, 9)), (24, 11),
     ])
     def test_symmetric_group_has_no_index_r(self, no_backtrack, n, r):
         ans, cert, method = has_proper_subgroup_of_index(fam.symmetric_group(n), r)
@@ -204,8 +201,8 @@ def test_backtrack_past_its_budget_is_unknown(monkeypatch):
     monkeypatch.setattr(subsearch, "BACKTRACK_MAX_ASSIGNMENTS", 0)
     answer = has_proper_subgroup_of_index(fam.symmetric_group(4), 3)
     assert answer == ("unknown", None, "unknown")
-    report = min_proper_subgroup_index(fam.symmetric_group(4), 3)
-    assert not report.decided and report.notes == ["index 2 undecided: resource bound exceeded"]
+    for r in (2, 3):
+        assert has_proper_subgroup_of_index(fam.symmetric_group(4), r) == ("unknown", None, "unknown")
 
 
 @pytest.mark.parametrize("r", range(1, 8))
@@ -238,11 +235,11 @@ class TestPsl2Criterion:
 
     @pytest.mark.parametrize("q", [5, 7, 9, 11, 13])
     def test_agrees_with_search(self, q):
-        bound = (q - 1) // 2
-        if bound < 2:
-            return
-        report = min_proper_subgroup_index(fam.psl2(q), bound)
-        assert (report.found_index is None) == psl2_subgroup_criterion(q)
+        group = fam.psl2(q)
+        none_found = all(
+            has_proper_subgroup_of_index(group, r)[0] is False for r in range(2, (q - 1) // 2 + 1)
+        )
+        assert none_found == psl2_subgroup_criterion(q)
 
     def test_q13_cross_checked_by_raw_backtrack(self):
         # bypass the simplicity shortcut: the homomorphism backtrack itself

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from endocert.errors import InternalInconsistencyError
+from endocert.permgroup import Perm, PermGroup, is_simple
 from endocert.permgroup import families as fam
 from endocert.polygal import IntPoly
 from endocert.repmod import CentralizerClass
@@ -184,6 +185,50 @@ class TestAnalyzeCenter:
         with pytest.raises(ValueError):
             analyze_center(fam.symmetric_group(4))
 
+    def test_agl3_2_normal_entry_from_the_escape_search_alone(self, monkeypatch):
+        # AGL(3,2) on F_2^3, v = x0 + 2 x1 + 4 x2: v -> v + e0, and the linear
+        # maps (x0 + x1, x1, x2) and (x2, x0 + x2, x1), which generate GL(3,2).
+        # 3-transitive and perfect, not simple, genus 3
+        group = PermGroup(8, [
+            Perm((1, 0, 3, 2, 5, 4, 7, 6)),
+            Perm((0, 1, 3, 2, 4, 5, 7, 6)),
+            Perm((0, 2, 4, 6, 3, 1, 7, 5)),
+        ])
+        assert group.order() == 1344 and is_simple(group) is False
+
+        def refuse(self):
+            raise AssertionError("simplicity asked")
+
+        monkeypatch.setattr(engine._Ctx, "simple", refuse)
+        analysis = analyze_center(group)
+        assert _entry_status(analysis.entries, NORMAL_ENTRY) == "verified"
+        assert analysis.center_is_q is True
+
+    def test_asl2_3_normal_entry_unknown_with_a_live_escape(self):
+        # ASL(2,3) on F_3^2, v = x + 3y: v -> v + e0, and the linear maps
+        # (x + y, y) and (x, x + y), which generate SL(2,3); genus 4, and
+        # SL(2,3) acting on the 4 lines of F_3^2 gives an index-4 subgroup
+        group = PermGroup(9, [
+            Perm((1, 2, 0, 4, 5, 3, 7, 8, 6)),
+            Perm((0, 1, 2, 4, 5, 3, 8, 6, 7)),
+            Perm((0, 4, 8, 3, 7, 2, 6, 1, 5)),
+        ])
+        assert group.order() == 216
+        v = analyze_jacobian(case_from_group(group, 0))
+        assert v.outcome is Outcome.INCONCLUSIVE
+        assert _entry_status(v.checklist, NORMAL_ENTRY) == "unknown"
+        escape = [e for e in v.checklist if e.hypothesis.startswith("product-decomposition escape")]
+        assert len(escape) == 1 and escape[0].evidence.startswith("live r values [4];")
+
+
+NORMAL_ENTRY = "only normal subgroup of index dividing the genus is the group itself"
+
+
+def _entry_status(entries, hypothesis):
+    (entry,) = [e for e in entries if e.hypothesis == hypothesis]
+    assert entry.citation == "computed: escape-index search / simplicity"
+    return entry.status
+
 
 PAPER_CASES = [
     (lambda: fam.alternating_group(5), 0, {Outcome.END_IS_Z}),
@@ -235,8 +280,6 @@ class TestAnalyzeJacobian:
         assert any("1/(x - alpha)" in e.hypothesis for e in v.checklist)
 
     def test_intransitive_group_inconclusive(self):
-        from endocert.permgroup import PermGroup
-
         g = PermGroup.from_cycle_strings(5, ["(1 2)"])
         v = analyze_jacobian(case_from_group(g, 0))
         assert v.outcome is Outcome.INCONCLUSIVE
