@@ -72,6 +72,11 @@ class TestMinProperSubgroupIndex:
         assert orders & {30, 20, 15} == set()
         assert 12 in orders  # A4 of index 5 does exist
 
+    def test_psl2_11_bound_5_none(self):
+        psl2_11 = fam.psl2(11)
+        for r in range(2, 6):
+            assert has_proper_subgroup_of_index(psl2_11, r)[0] is False
+
     def test_a7_bound_7_finds_index_7(self):
         a7 = fam.alternating_group(7)
         for r in range(2, 7):
