@@ -1,16 +1,19 @@
 """From an integer polynomial to a Galois-group hypothesis.
 
-Pipeline: exact squarefreeness (subresultant gcd over Z), distinct-degree
-factorization of the reductions mod p over a deterministic stream of odd
-primes, a census of the resulting degree partitions (Frobenius cycle
-types), and a goodness-of-fit match of the census against the exact
-cycle-type distributions of candidate groups.
+Pipeline: the discriminant (subresultant PRS over Z, once per
+polynomial), distinct-degree factorization of the reductions mod p over a
+deterministic stream of odd primes, a census of the resulting degree
+partitions (Frobenius cycle types), and a goodness-of-fit match of the
+census against the exact cycle-type distributions of candidate groups.
 
-The distinct-degree factorization pays for one x^p mod f per prime and
-builds the Frobenius matrix Q of f mod p from it; each further power
-x^(p^d) is then one matrix-vector product.  The powers stay reduced modulo
-f while factors are divided out of it: the remaining part divides f, so its
-gcds with x^(p^d) - x are unchanged.  These products run on packed
+The discriminant decides squarefreeness over Q (disc != 0) and at every
+prime not dividing the leading coefficient (p does not divide disc), so no
+prime pays for a gcd(f, f').  The distinct-degree factorization pays for one
+x^p mod f per prime and builds the Frobenius matrix Q of f mod p from it;
+each further power x^(p^d) is then one matrix-vector product.  One gcd of f
+with the product of x^(p^d) - x over d <= n/2 separates the factors of
+degree <= n/2 from the one factor of larger degree, if any, and only those
+small factors are split degree by degree.  The products run on packed
 polynomials, one Python integer each, with slots wide enough that no
 coefficient sum carries into the next; the gcds and the division run on
 coefficient lists.
@@ -30,6 +33,7 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from .arith import is_odd_prime_power, is_prime, partitions, symmetric_class_size
@@ -74,6 +78,39 @@ class IntPoly:
 
     def derivative(self) -> "IntPoly":
         return IntPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
+
+    @cached_property
+    def discriminant(self) -> int:
+        """(-1)^(n(n-1)/2) Res(f, f')/lc(f), the resultant by the subresultant
+        PRS over Z (Cohen, GTM 138, Alg. 3.3.7); 1 in degree 1."""
+        n = self.degree
+        if n < 1:
+            raise ValueError("need degree >= 1")
+        a, b = list(self.coeffs), list(self.derivative().coeffs)
+        ca, cb = _content(a), _content(b)
+        a, b = [x // ca for x in a], [x // cb for x in b]
+        g = h = s = 1
+        while len(b) > 1:
+            db = len(b) - 1
+            delta = len(a) - 1 - db
+            if (db + delta) & db & 1:
+                s = -s
+            # r = lc(b)^(delta+1) a mod b, one pseudo-division step per degree
+            r, lb = a, b[-1]
+            for i in range(delta, -1, -1):
+                c = r[-1]
+                r = [lb * x for x in r[:-1]]
+                for j in range(db):
+                    r[i + j] -= c * b[j]
+            while r and not r[-1]:
+                r.pop()
+            if not r:
+                return 0
+            a, b = b, [x // (g * h**delta) for x in r]
+            g = a[-1]
+            h = g**delta // h ** (delta - 1) if delta else h
+        res = s * ca ** (n - 1) * cb**n * b[0] ** (len(a) - 1) // h ** (len(a) - 2)
+        return (-1) ** (n * (n - 1) // 2) * res // self.leading()
 
     def __call__(self, x: int) -> int:
         acc = 0
@@ -169,64 +206,19 @@ def _content(c: Sequence[int]) -> int:
     return g or 1
 
 
-def _primitive(c: list[int]) -> list[int]:
-    g = _content(c)
-    return [x // g for x in c]
-
-
-def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder of a by b over Z (b nonzero)."""
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and any(a):
-        da = len(a) - 1
-        if a[-1] == 0:
-            a.pop()
-            continue
-        la = a[-1]
-        shifted = [0] * (da - db) + [x * la for x in b]
-        a = [lb * x - y for x, y in zip(a, shifted)]
-        a.pop()
-        while a and a[-1] == 0:
-            a.pop()
-    return a
-
-
-def integer_poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Primitive gcd over Z via a primitive pseudo-remainder sequence."""
-    a, b = list(f.coeffs), list(g.coeffs)
-    if not a:
-        return IntPoly(tuple(_primitive(b))) if b else IntPoly(())
-    if not b:
-        return IntPoly(tuple(_primitive(a)))
-    a, b = _primitive(a), _primitive(b)
-    while b:
-        r = _pseudo_rem(a, b)
-        a, b = b, _primitive(r) if r else []
-    return IntPoly(tuple(x * (1 if a[-1] > 0 else -1) for x in a))
-
-
 def is_squarefree(f: IntPoly) -> bool:
-    """Exact: gcd(f, f') over the rationals is constant."""
-    if f.is_zero():
-        raise ValueError("zero polynomial")
-    if f.degree < 1:
-        raise ValueError("need degree >= 1")
-    return integer_poly_gcd(f, f.derivative()).degree == 0
+    """Exact: the discriminant of f is nonzero (ValueError below degree 1)."""
+    return f.discriminant != 0
 
 
 # -- arithmetic mod p ---------------------------------------------------------
 
 
-def _pm_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
 def _pm_monic(a: list[int], p: int) -> list[int]:
     """a mod p, trimmed and scaled to leading coefficient 1 ([] for zero)."""
-    a = _pm_trim([x % p for x in a])
+    a = [x % p for x in a]
+    while a and not a[-1]:
+        a.pop()
     inv = pow(a[-1], p - 2, p) if a else 0
     return [x * inv % p for x in a]
 
@@ -292,9 +284,14 @@ def _unpack(x: int, count: int, k: int, p: int) -> list[int]:
 def degree_pattern_mod_p(f: IntPoly, p: int) -> Optional[tuple[int, ...]]:
     """Multiset of irreducible-factor degrees of f mod p, descending.
 
-    Distinct-degree factorization only: the product of the factors of
-    degree d is gcd(work, x^(p^d) - x), where ``work`` is what remains of
-    f mod p after the factors of degree < d are divided out.  No
+    Blocked distinct-degree factorization (von zur Gathen-Shoup,
+    *Comput. Complexity* 2, 1992): with m = n // 2, one gcd of f with
+    P = prod_{d <= m} (x^(p^d) - x) mod f gives the product g of all
+    factors of degree <= m.  A squarefree f has at most one factor of
+    degree > n/2, so when deg g < n it is that factor, of degree n - deg g.
+    The factors inside g are then split by degree as usual: the product of
+    those of degree d is gcd(work, x^(p^d) - x), where ``work`` is what
+    remains of g after the factors of degree < d are divided out.  No
     equal-degree splitting is needed because only the partition matters.
 
     The powers x^(p^d) come from the Frobenius (Berlekamp) matrix Q of
@@ -305,28 +302,30 @@ def degree_pattern_mod_p(f: IntPoly, p: int) -> Optional[tuple[int, ...]]:
     modulo ``work``: ``work`` divides f, so h is congruent to x^(p^d)
     modulo ``work`` and every gcd is unchanged.
 
-    x^p, the rows of Q and h^p are computed on packed polynomials, the
+    x^p, the rows of Q, h^p and P are computed on packed polynomials, the
     coefficients in fixed-width slots of one integer (Kronecker
     substitution; von zur Gathen-Gerhard, section 8.4).  A product is one
-    big-integer product, reduced modulo f by the table R_j = x^(n+j) mod f:
-    the remainder is the low half plus sum_j c_j R_j over the high
-    coefficients c_j, and multiplying by x is a shift.  No slot value
-    exceeds 2n(p-1)^2, so ``_slot_bytes`` keeps every odd p exact.
+    big-integer product, reduced modulo f by the table R_j = x^(n+j) mod f,
+    built once per prime by the recurrence R_(j+1) = x R_j mod f: the
+    remainder is the low half plus sum_j c_j R_j over the high coefficients
+    c_j, and multiplying by x is a shift.  No slot value exceeds
+    2n(p-1)^2, so ``_slot_bytes`` keeps every odd p exact.
 
     Returns None for a bad prime: p dividing the leading coefficient, or
-    f mod p not squarefree.  Raises ValueError unless p is an odd prime.
+    f mod p not squarefree, which for p not dividing lc(f) holds exactly
+    when p divides the discriminant of f (computed once per polynomial).
+    Raises ValueError unless p is an odd prime.
     """
     if p < 3 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     if f.leading() % p == 0:
         return None
-    fp = _pm_trim([x % p for x in f.coeffs])
-    deriv = _pm_trim([(i * fp[i]) % p for i in range(1, len(fp))])
-    if len(_pm_gcd(fp, deriv, p)) - 1 != 0:
-        return None
-    n = len(fp) - 1
+    n = f.degree
     if n < 2:  # a constant or a linear polynomial
         return (1,) * n
+    if f.discriminant % p == 0:
+        return None
+    fp = [x % p for x in f.coeffs]
     k = _slot_bytes(n, p)
     w, mask = 8 * k, (1 << 8 * k * n) - 1
 
@@ -336,9 +335,12 @@ def degree_pattern_mod_p(f: IntPoly, p: int) -> Optional[tuple[int, ...]]:
         return _pack(_unpack(sum(map(operator.mul, high, table), x & mask), n, k, p), k)
 
     inv = pow(fp[-1], p - 2, p)
-    table = [_pack([-c * inv % p for c in fp[:-1]], k)]
-    while len(table) < n:
-        table.append(reduce(table[-1] << w))
+    row = low = [-c * inv % p for c in fp[:-1]]
+    table = [_pack(low, k)]
+    while len(table) < n:  # x^(n+j+1) = x * x^(n+j), its top coefficient times x^n
+        top = row[-1]
+        row = [top * low[0] % p, *[(x + top * y) % p for x, y in zip(row, low[1:])]]
+        table.append(_pack(row, k))
     xp = 1
     for bit in bin(p)[2:]:
         xp = reduce(xp * xp)
@@ -347,16 +349,23 @@ def degree_pattern_mod_p(f: IntPoly, p: int) -> Optional[tuple[int, ...]]:
     rows = [1, xp]
     while len(rows) < n:
         rows.append(reduce(rows[-1] * xp))
-    degrees: list[int] = []
-    work, h, d = fp, _unpack(xp, n, k, p), 1
+    h = _unpack(xp, n, k, p)
+    diffs = [[h[0], (h[1] - 1) % p, *h[2:]]]  # x^(p^d) - x mod f, d = 1 .. n // 2
+    prod = _pack(diffs[0], k)
+    while len(diffs) < n // 2:
+        h = _unpack(sum(map(operator.mul, h, rows)), n, k, p)
+        diffs.append([h[0], (h[1] - 1) % p, *h[2:]])
+        prod = reduce(prod * _pack(diffs[-1], k))
+    work = _pm_gcd(fp, _unpack(prod, n, k, p), p)
+    # at most one factor has degree > n/2, and it is what the gcd leaves out
+    degrees = [n + 1 - len(work)] if len(work) <= n else []
+    d = 1
     while 2 * d <= len(work) - 1:
-        g = _pm_gcd(work, [h[0], (h[1] - 1) % p, *h[2:]], p)
-        deg_g = len(g) - 1
-        if deg_g > 0:
-            degrees.extend([d] * (deg_g // d))
+        g = _pm_gcd(work, diffs[d - 1], p)
+        if len(g) > 1:
+            degrees.extend([d] * ((len(g) - 1) // d))
             work = _pm_divmod(work, g, p)[0]
         d += 1
-        h = _unpack(sum(map(operator.mul, h, rows)), n, k, p)
     if len(work) > 1:
         # no factor of degree < d is left and 2d exceeds the degree
         degrees.append(len(work) - 1)

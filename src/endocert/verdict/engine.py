@@ -1056,8 +1056,8 @@ def hom_pair_analysis(
     heuristic.
     """
     _validate_char(char)
-    if f.degree < 3 or h.degree < 3:
-        raise ValueError("both polynomials must have degree >= 3")
+    _validate_degree(f.degree)
+    _validate_degree(h.degree)
     if f.coeffs == h.coeffs:
         raise ValueError(
             "identical polynomials: the splitting fields coincide, so linear "

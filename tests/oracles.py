@@ -5,8 +5,10 @@ plain closure enumeration instead of stabilizer chains, dense scalar
 elimination instead of bit-packed rows, exhaustive matrix enumeration and
 the Sylvester kernel in d^2 unknowns instead of spinning, the action
 backtrack alone instead of the index-search ladder, Fraction-based Euclid
-instead of the subresultant gcd, a square-and-multiply ladder for
-every x^(p^d) instead of the Frobenius matrix, and every candidate's full
+and a Fraction determinant of the Sylvester matrix instead of the
+subresultant discriminant, a square-and-multiply ladder and a gcd(f, f')
+mod p for every prime instead of the Frobenius matrix, the blocked gcd and
+the discriminant, and every candidate's full
 cycle-type distribution instead of the Lagrange refutation in `identify`.
 """
 
@@ -163,6 +165,33 @@ def rational_poly_gcd_degree(f_coeffs, g_coeffs):
             a.pop()
         a, b = b, a
     return len(a) - 1
+
+
+def sylvester_discriminant(coeffs):
+    """Discriminant of an integer polynomial of degree n >= 1 (ascending
+    coefficients): (-1)^(n(n-1)/2) Res(f, f')/lc(f), the resultant as the
+    determinant of the Sylvester matrix by Fraction elimination."""
+    f = list(coeffs)
+    g = [i * c for i, c in enumerate(f)][1:]
+    m, n = len(f) - 1, len(g) - 1
+    rows = [[0] * i + f[::-1] + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + g[::-1] + [0] * (m - 1 - i) for i in range(m)]
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for col in range(m + n):
+        pivot = next((r for r in range(col, m + n) if a[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, m + n):
+            q = a[r][col] / a[col][col]
+            a[r] = [x - q * y for x, y in zip(a[r], a[col])]
+    disc = (-1) ** (m * (m - 1) // 2) * det / f[-1]
+    assert disc.denominator == 1
+    return int(disc)
 
 
 def subalgebra_elements(basis_rows_list, dim_ambient):

@@ -152,6 +152,20 @@ class TestHomCheck:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("polys", [("x^4 - x - 1", "x^5 - x - 1"),
+                                       ("x^5 - x - 1", "x^4 - x - 1"),
+                                       ("x^2 + 1", "x^5 - x - 1")])
+    def test_degree_refused_before_any_census(self, capsys, monkeypatch, polys):
+        # degree 4 (the heart action is not faithful) and degree < 3 are
+        # refused as analyze and group-check refuse them
+        def refuse(f, p):
+            raise AssertionError("census ran")
+
+        monkeypatch.setattr(polygal, "degree_pattern_mod_p", refuse)
+        code, out, err = run(capsys, "hom-check", "--poly", polys[0], "--poly2", polys[1])
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("error: ")
+
 
 class TestIdentify:
     def test_table(self, capsys):

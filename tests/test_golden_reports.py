@@ -2,8 +2,9 @@
 
 `golden_reports.json` holds the machine report of each selftest fixture
 and of a few CLI runs (`group-check` S9, A9, S12 and S24, `analyze` on
-x^n - x - 1 and on Trinks' x^7 - 7*x + 3, `identify` on x^24 - x - 1 and
-on x^12 - x - 1 (every candidate rejected), two
+x^n - x - 1 and on Trinks' x^7 - 7*x + 3, `identify` on x^16 - x - 1,
+x^20 - x - 1 and x^24 - x - 1 (the census benchmark's cases) and on
+x^12 - x - 1 (every candidate rejected), two
 `hom-check` runs (one of them the census benchmark's pair), and two
 `group-check` runs with `--dump-action --dump-centralizer`, which pin the
 matrix dump format and the echelon order of the commutant basis).  A
@@ -37,7 +38,7 @@ CLI_CASES = [
     *(("analyze", "--poly", f"x^{n} - x - 1") for n in (5, 7, 8, 9)),
     ("analyze", "--poly", "x^7 - 7*x + 3"),
     ("hom-check", "--poly", "x^3 - 2", "--poly2", "x^3 + x - 1"),
-    ("identify", "--poly", "x^24 - x - 1"),
+    *(("identify", "--poly", f"x^{n} - x - 1") for n in (16, 20, 24)),
     ("identify", "--poly", "x^12 - x - 1"),
     ("hom-check", "--poly", "x^7 - x - 1", "--poly2", "x^8 - x - 1"),
     ("group-check", "--degree", "5", "--generators", "(1 2 3 4 5)",

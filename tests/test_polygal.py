@@ -19,12 +19,17 @@ from endocert.polygal import (
     cycle_type_distribution,
     degree_pattern_mod_p,
     identify,
-    integer_poly_gcd,
     is_squarefree,
     joint_census,
     standard_candidates,
 )
-from oracles import cycle_type, ddf_pattern_mod_p, enumerating_identify, rational_poly_gcd_degree
+from oracles import (
+    cycle_type,
+    ddf_pattern_mod_p,
+    enumerating_identify,
+    rational_poly_gcd_degree,
+    sylvester_discriminant,
+)
 
 
 class TestIntPoly:
@@ -88,10 +93,42 @@ class TestSquarefree:
         ],
     )
     def test_gcd_agrees_with_rational_euclid(self, f):
+        # disc(f) = 0 exactly when gcd(f, f') over Q is not constant
         poly = IntPoly.parse(f)
-        mine = integer_poly_gcd(poly, poly.derivative()).degree
         oracle = rational_poly_gcd_degree(poly.coeffs, poly.derivative().coeffs)
-        assert mine == oracle
+        assert (poly.discriminant == 0) == (oracle > 0) == (not is_squarefree(poly))
+
+    def test_constant_and_linear(self):
+        with pytest.raises(ValueError):
+            is_squarefree(IntPoly((5,)))
+        with pytest.raises(ValueError):
+            IntPoly((5,)).discriminant
+        assert is_squarefree(IntPoly.parse("6*x - 5"))
+        assert IntPoly.parse("6*x - 5").discriminant == 1
+
+
+class TestDiscriminant:
+    def test_against_the_sylvester_determinant(self):
+        rng = random.Random(7)
+        for _ in range(120):
+            n = rng.randint(1, 12)
+            lead = rng.choice([2, -2, 3, 5, -7, 12])
+            low = rng.choice([(-9, 9), (0, 0), (0, 3)])
+            f = IntPoly(tuple(rng.randint(*low) for _ in range(n)) + (lead,))
+            assert f.discriminant == sylvester_discriminant(f.coeffs), f
+
+    @pytest.mark.parametrize("n", range(2, 25))
+    def test_trinomial_closed_form(self, n):
+        # disc(x^n + a x + b) = (-1)^(n(n-1)/2) (n^n b^(n-1) + (-1)^(n-1) (n-1)^(n-1) a^n)
+        a = b = -1
+        closed = n**n * b ** (n - 1) + (-1) ** (n - 1) * (n - 1) ** (n - 1) * a**n
+        assert IntPoly.parse(f"x^{n} - x - 1").discriminant == (-1) ** (n * (n - 1) // 2) * closed
+
+    def test_computed_once_per_polynomial(self, monkeypatch):
+        f = IntPoly.parse("x^9 - x - 1")
+        census(f, 30)
+        monkeypatch.setattr(IntPoly, "derivative", None)
+        assert census(f, 30).counts and is_squarefree(f)
 
 
 class TestDegreePattern:
@@ -114,6 +151,16 @@ class TestDegreePattern:
             pattern = degree_pattern_mod_p(f, p)
             if pattern is not None:
                 assert sum(pattern) == 7
+
+    def test_constant_and_linear(self):
+        # a constant has the empty pattern and a linear polynomial one root,
+        # unless p divides the leading coefficient
+        assert degree_pattern_mod_p(IntPoly((5,)), 3) == ()
+        assert degree_pattern_mod_p(IntPoly((5,)), 5) is None
+        assert degree_pattern_mod_p(IntPoly.parse("6*x - 5"), 5) == (1,)
+        assert degree_pattern_mod_p(IntPoly.parse("5*x - 6"), 5) is None
+        with pytest.raises(ValueError):
+            degree_pattern_mod_p(IntPoly(()), 3)
 
     def test_rejects_even_or_composite_p(self):
         with pytest.raises(ValueError):
@@ -197,6 +244,50 @@ def test_degree_pattern_at_a_61_bit_prime():
     p = 2**61 - 1
     for f in (_ORACLE_POLYS["x^24-x-1"], _ORACLE_POLYS["dense11"]):
         assert degree_pattern_mod_p(f, p) == ddf_pattern_mod_p(f.coeffs, p)
+
+
+def _times(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+_PROPERTY_PRIMES = [q for q in range(3, 1300, 2) if is_prime(q)] + [2**61 - 1]
+
+
+@st.composite
+def ddf_inputs(draw):
+    """f of degree 2..24, half of them a^2 b with deg a >= 1, and a prime."""
+    coeff = st.integers(-30, 30)
+    if draw(st.booleans()):
+        a = draw(st.lists(coeff, min_size=1, max_size=4)) + [draw(st.sampled_from([1, -1, 2, 3]))]
+        room = 24 - 2 * (len(a) - 1)
+        b = draw(st.lists(coeff, max_size=room)) + [draw(st.sampled_from([1, -5]))]
+        coeffs = _times(_times(a, a), b)
+    else:
+        n = draw(st.integers(2, 24))
+        coeffs = draw(st.lists(coeff, min_size=n, max_size=n))
+        coeffs.append(draw(st.integers(-12, 12).filter(bool)))
+    return IntPoly(tuple(coeffs)), draw(st.sampled_from(_PROPERTY_PRIMES))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(ddf_inputs())
+def test_degree_pattern_agrees_with_the_ladder(case):
+    f, p = case
+    assert degree_pattern_mod_p(f, p) == ddf_pattern_mod_p(f.coeffs, p)
+
+
+def test_census_gcd_work(monkeypatch):
+    # one gcd for all factors of degree <= 12 and none for squarefreeness:
+    # 928 mod-p gcds for the 201 primes, against 1,907 per-degree gcds
+    calls = []
+    gcd = polygal._pm_gcd
+    monkeypatch.setattr(polygal, "_pm_gcd", lambda a, b, p: calls.append(p) or gcd(a, b, p))
+    census(IntPoly.parse("x^24 - x - 1"))
+    assert len(calls) <= 1000
 
 
 class TestCensus:
