@@ -12,7 +12,14 @@ during enumeration.
 Construction is incremental: transversals are append-only and each
 (orbit point, generator) Schreier pair is sifted exactly once, which keeps
 the build cheap at the degrees this engine targets (<= 24 plus small
-regular actions).
+regular actions).  Each level stores u^-1 beside every transversal
+representative u, inverted once when u is added, so a sift step and a
+Schreier generator u_{g delta}^-1 g u_delta are one pass over an image
+tuple (Seress, *Permutation Group Algorithms*, 4.2).  Each level also keeps
+the ids of its group's strong generators, appended as they are installed,
+and a closure mark: the number of those ids its orbit was last closed
+under, so a level that got no new generator is neither re-walked nor
+rescanned for Schreier pairs.
 """
 
 from __future__ import annotations
@@ -23,18 +30,18 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .perms import _compose, _invert
 
 
-def _is_id(t: Sequence[int]) -> bool:
-    return all(i == j for i, j in enumerate(t))
-
-
 class _Level:
-    __slots__ = ("point", "gens", "transversal", "orbit", "done_pairs")
+    __slots__ = (
+        "point", "gen_ids", "closed", "transversal", "inverse", "orbit", "done_pairs"
+    )
 
-    def __init__(self, point: int, degree: int):
+    def __init__(self, point: int, ident: tuple[int, ...]):
         self.point = point
-        self.gens: list[tuple[int, ...]] = []  # strong gens first homed here
-        ident = tuple(range(degree))
+        # ids in _strong of the strong generators homed here or deeper
+        self.gen_ids: list[int] = []
+        self.closed = 0  # len(gen_ids) when the orbit was last closed
         self.transversal: dict[int, tuple[int, ...]] = {point: ident}
+        self.inverse: dict[int, tuple[int, ...]] = {point: ident}
         self.orbit: list[int] = [point]
         # (orbit position, global gen id) Schreier pairs already sifted
         self.done_pairs: set[tuple[int, int]] = set()
@@ -50,9 +57,11 @@ class StabilizerChain:
         )
         if sorted(self.base_order) != list(range(degree)):
             raise ValueError("base_order must be a permutation of the points")
-        self.levels = [_Level(p, degree) for p in self.base_order]
+        self.identity = tuple(range(degree))
+        self.levels = [_Level(p, self.identity) for p in self.base_order]
         # global registry of strong generators: (perm, home level index)
         self._strong: list[tuple[tuple[int, ...], int]] = []
+        self._read_only = False
 
     # -- construction ------------------------------------------------------
 
@@ -70,18 +79,22 @@ class StabilizerChain:
 
     def add_generator(self, g: tuple[int, ...]) -> bool:
         """Sift g into the chain; returns True if the group grew."""
+        if self._read_only:
+            raise ValueError("a first-point-stabilizer chain cannot be extended")
         if len(g) != self.degree:
             raise ValueError("degree mismatch among generators")
         residue, idx = self._sift(tuple(g), 0)
-        if _is_id(residue):
+        if residue == self.identity:
             return False
         self._install(residue, idx)
         self._process_pending()
         return True
 
     def _install(self, residue: tuple[int, ...], idx: int) -> None:
-        self.levels[idx].gens.append(residue)
+        k = len(self._strong)
         self._strong.append((residue, idx))
+        for level in self.levels[: idx + 1]:
+            level.gen_ids.append(k)
 
     def _sift(self, g: tuple[int, ...], start: int) -> tuple[tuple[int, ...], int]:
         """Divide g by transversal reps; return (residue, stop level index)."""
@@ -90,31 +103,31 @@ class StabilizerChain:
             im = g[level.point]
             if im == level.point:
                 continue
-            rep = level.transversal.get(im)
-            if rep is None:
+            inv = level.inverse.get(im)
+            if inv is None:
                 return g, idx
-            g = _compose(_invert(rep), g)
+            g = tuple([inv[x] for x in g])
         return g, len(self.levels)
-
-    def _level_gen_ids(self, idx: int) -> list[int]:
-        return [k for k, (_, home) in enumerate(self._strong) if home >= idx]
 
     def _extend_orbit(self, idx: int) -> None:
         """Grow level idx's orbit/transversal under the current generator set."""
         level = self.levels[idx]
-        gens = [self._strong[k][0] for k in self._level_gen_ids(idx)]
-        if not gens:
+        if level.closed == len(level.gen_ids):
             return
+        gens = [self._strong[k][0] for k in level.gen_ids]
+        transversal = level.transversal
         frontier = 0
         while frontier < len(level.orbit):
             delta = level.orbit[frontier]
-            rep = level.transversal[delta]
+            rep = transversal[delta]
             for g in gens:
                 gamma = g[delta]
-                if gamma not in level.transversal:
-                    level.transversal[gamma] = _compose(g, rep)
+                if gamma not in transversal:
+                    transversal[gamma] = u = _compose(g, rep)
+                    level.inverse[gamma] = _invert(u)
                     level.orbit.append(gamma)
             frontier += 1
+        level.closed = len(gens)
 
     def _process_pending(self) -> None:
         """Sift every unprocessed Schreier pair until the chain is stable.
@@ -123,38 +136,32 @@ class StabilizerChain:
         stay valid because transversal entries are never replaced.
         """
         while True:
-            dirty = None
             for idx in range(len(self.levels) - 1, -1, -1):
                 self._extend_orbit(idx)
                 level = self.levels[idx]
-                gen_ids = self._level_gen_ids(idx)
-                pending = [
-                    (pos, k)
-                    for pos in range(len(level.orbit))
-                    for k in gen_ids
-                    if (pos, k) not in level.done_pairs
-                ]
-                if pending:
-                    dirty = (idx, pending)
+                if len(level.done_pairs) < len(level.orbit) * len(level.gen_ids):
                     break
-            if dirty is None:
+            else:
                 return
-            idx, pending = dirty
-            level = self.levels[idx]
+            # the orbit is closed under every id in gen_ids, so each g[delta]
+            # has a representative
+            pending = [
+                (pos, k)
+                for pos in range(len(level.orbit))
+                for k in level.gen_ids
+                if (pos, k) not in level.done_pairs
+            ]
             for pos, k in pending:
                 delta = level.orbit[pos]
                 g = self._strong[k][0]
                 rep = level.transversal[delta]
-                rep_im = level.transversal.get(g[delta])
-                if rep_im is None:
-                    # orbit grew since `pending` was computed; retry next sweep
-                    continue
-                schreier = _compose(_invert(rep_im), _compose(g, rep))
+                inv_im = level.inverse[g[delta]]
+                schreier = tuple([inv_im[g[x]] for x in rep])
                 level.done_pairs.add((pos, k))
-                if _is_id(schreier):
+                if schreier == self.identity:
                     continue
                 residue, stop = self._sift(schreier, idx + 1)
-                if not _is_id(residue):
+                if residue != self.identity:
                     self._install(residue, stop)
                     break  # deeper levels dirty now; rescan
 
@@ -172,7 +179,7 @@ class StabilizerChain:
         if len(g) != self.degree:
             return False
         residue, _ = self._sift(tuple(g), 0)
-        return _is_id(residue)
+        return residue == self.identity
 
     def level_generators(self, idx: int) -> list[tuple[int, ...]]:
         """Strong generators of the idx-th group in the chain."""
@@ -182,12 +189,14 @@ class StabilizerChain:
         """Chain of the stabilizer of the first base point, read-only.
 
         It shares this chain's levels from 1 on, and its first level is
-        trivial, so it costs no sifting; neither chain may be extended
-        afterwards.
+        trivial, so it costs no sifting.  Neither chain may be extended
+        afterwards: the shared levels' generator ids index this chain's
+        ``_strong``, so the sub-chain's ``add_generator`` raises ValueError.
         """
         sub = StabilizerChain(self.degree, self.base_order)
         sub.levels[1:] = self.levels[1:]
         sub._strong = [(g, home) for g, home in self._strong if home >= 1]
+        sub._read_only = True
         return sub
 
     def elements(self, limit: Optional[int] = None) -> Iterator[tuple[int, ...]]:
@@ -203,7 +212,7 @@ class StabilizerChain:
             for pt in active[i].orbit:
                 yield from rec(i - 1, _compose(active[i].transversal[pt], suffix))
 
-        yield from rec(len(active) - 1, tuple(range(self.degree)))
+        yield from rec(len(active) - 1, self.identity)
 
 
 def closure_elements(

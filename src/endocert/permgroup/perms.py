@@ -23,7 +23,7 @@ _CYCLE_RE = re.compile(r"\(\s*((?:\d+[\s,]*)*)\)")
 
 def _compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     """Raw composition of image tuples, q applied first."""
-    return tuple(p[i] for i in q)
+    return tuple([p[i] for i in q])
 
 
 def _invert(p: Sequence[int]) -> tuple[int, ...]:

@@ -34,7 +34,7 @@ from typing import Literal, Optional, Union
 from ..arith import partitions, prime_power, symmetric_class_size
 from .chain import StabilizerChain, closure_elements
 from .groups import SUBGROUP_LATTICE_BOUND, PermGroup, _is_transitive
-from .perms import Perm
+from .perms import Perm, _cycle_type
 from .structure import TriState, is_simple
 
 #: r above this is out of reach for the backtrack (Sym(r)^k blow-up).
@@ -50,12 +50,9 @@ SearchMethod = Literal["lagrange-shortcut", "action-backtrack", "exhaustive", "u
 
 @lru_cache(maxsize=256)
 def _perms_of_order_dividing(r: int, d: int) -> tuple[tuple[int, ...], ...]:
-    out = []
-    for p in itertools.permutations(range(r)):
-        q = Perm(p)
-        if d % q.order() == 0:
-            out.append(p)
-    return tuple(out)
+    return tuple(
+        p for p in itertools.permutations(range(r)) if d % math.lcm(*_cycle_type(p)) == 0
+    )
 
 
 def _count_of_order_dividing(r: int, d: int) -> int:

@@ -1,7 +1,10 @@
 """Independent brute-force oracles used to pin expected values.
 
 Everything here deliberately avoids the production code paths it checks:
-plain closure enumeration instead of stabilizer chains, dense scalar
+plain closure enumeration instead of stabilizer chains, the stabilizer
+chain as first written (a representative inverted on every sift step, the
+generator ids of a level rescanned on every sweep) instead of the stored
+inverse transversals and per-level bookkeeping, dense scalar
 elimination instead of bit-packed rows, exhaustive matrix enumeration and
 the Sylvester kernel in d^2 unknowns instead of spinning, the action
 backtrack alone instead of the index-search ladder, Fraction-based Euclid
@@ -353,3 +356,128 @@ def enumerating_identify(sample, candidates, distribution):
         matched = contained and conf >= polygal.MATCH_THRESHOLD
         rows.append((cand.name, matched, conf, contained, chi))
     return sorted(rows, key=lambda row: (-row[2], row[0]))
+
+
+class _ReferenceLevel:
+    def __init__(self, point, degree):
+        self.point = point
+        self.transversal = {point: tuple(range(degree))}
+        self.orbit = [point]
+        self.done_pairs = set()
+
+
+class _ReferenceChain:
+    """The deterministic Schreier-Sims construction as first written.
+
+    Each (orbit point, generator) Schreier pair is sifted once, deepest
+    dirty level first; orbits are re-walked from their first point under
+    every generator of the level after each new strong generator.
+    """
+
+    def __init__(self, degree):
+        self.degree = degree
+        self.levels = [_ReferenceLevel(p, degree) for p in range(degree)]
+        self._strong = []
+
+    def add_generator(self, g):
+        residue, idx = self._sift(tuple(g), 0)
+        if _ref_is_id(residue):
+            return False
+        self._strong.append((residue, idx))
+        self._process_pending()
+        return True
+
+    def _sift(self, g, start):
+        for idx in range(start, len(self.levels)):
+            level = self.levels[idx]
+            im = g[level.point]
+            if im == level.point:
+                continue
+            rep = level.transversal.get(im)
+            if rep is None:
+                return g, idx
+            g = _ref_compose(_ref_invert(rep), g)
+        return g, len(self.levels)
+
+    def _level_gen_ids(self, idx):
+        return [k for k, (_, home) in enumerate(self._strong) if home >= idx]
+
+    def _extend_orbit(self, idx):
+        level = self.levels[idx]
+        gens = [self._strong[k][0] for k in self._level_gen_ids(idx)]
+        if not gens:
+            return
+        frontier = 0
+        while frontier < len(level.orbit):
+            delta = level.orbit[frontier]
+            rep = level.transversal[delta]
+            for g in gens:
+                gamma = g[delta]
+                if gamma not in level.transversal:
+                    level.transversal[gamma] = _ref_compose(g, rep)
+                    level.orbit.append(gamma)
+            frontier += 1
+
+    def _process_pending(self):
+        while True:
+            dirty = None
+            for idx in range(len(self.levels) - 1, -1, -1):
+                self._extend_orbit(idx)
+                level = self.levels[idx]
+                gen_ids = self._level_gen_ids(idx)
+                pending = [
+                    (pos, k)
+                    for pos in range(len(level.orbit))
+                    for k in gen_ids
+                    if (pos, k) not in level.done_pairs
+                ]
+                if pending:
+                    dirty = (idx, pending)
+                    break
+            if dirty is None:
+                return
+            idx, pending = dirty
+            level = self.levels[idx]
+            for pos, k in pending:
+                delta = level.orbit[pos]
+                g = self._strong[k][0]
+                rep = level.transversal[delta]
+                rep_im = level.transversal.get(g[delta])
+                if rep_im is None:
+                    continue
+                schreier = _ref_compose(_ref_invert(rep_im), _ref_compose(g, rep))
+                level.done_pairs.add((pos, k))
+                if _ref_is_id(schreier):
+                    continue
+                residue, stop = self._sift(schreier, idx + 1)
+                if not _ref_is_id(residue):
+                    self._strong.append((residue, stop))
+                    break
+
+
+def _ref_compose(p, q):
+    return tuple(p[i] for i in q)
+
+
+def _ref_invert(p):
+    inv = [0] * len(p)
+    for i, j in enumerate(p):
+        inv[j] = i
+    return tuple(inv)
+
+
+def _ref_is_id(t):
+    return all(i == j for i, j in enumerate(t))
+
+
+def reference_chain(degree, gens):
+    """Stabilizer chain on the default base, the generators added in order.
+
+    The result has ``_strong`` (each strong generator with its home level)
+    and ``levels`` (each with ``orbit`` and ``transversal``) in the layout
+    of :class:`endocert.permgroup.chain.StabilizerChain`.
+    """
+    chain = _ReferenceChain(degree)
+    for g in gens:
+        chain.add_generator(g)
+    return chain
