@@ -779,6 +779,13 @@ def _inconclusive(entries, caveats, reason: str) -> Verdict:
     return Verdict(Outcome.INCONCLUSIVE, entries, caveats)
 
 
+def _transitivity_method(group: PermGroup) -> str:
+    """How the transitivity degree was read: S_n and A_n build no chain."""
+    if group.giant is not None:
+        return "computed: Jordan's theorem and Atkinson's minimal-block test"
+    return "computed: stabilizer-chain basic orbit sizes"
+
+
 def _analyze_group_case(
     ctx: _Ctx,
     char: int,
@@ -796,7 +803,7 @@ def _analyze_group_case(
         _entry(
             f"Galois group acts {'doubly transitively' if need == 2 else '3-transitively'} on the {n} roots",
             "verified" if trans_ok else "failed",
-            "computed: stabilizer-chain basic orbit sizes",
+            _transitivity_method(group),
             f"transitivity degree {trans}",
         )
     )
@@ -1105,7 +1112,7 @@ def hom_pair_analysis(
                 f"the {label} group acts {'doubly transitively' if need == 2 else '3-transitively'} "
                 f"on its {poly.degree} roots",
                 "verified" if ok else "failed",
-                "computed: stabilizer-chain basic orbit sizes",
+                _transitivity_method(case.group),
                 f"transitivity degree {trans} (conditional on the identification)",
             )
         )

@@ -316,6 +316,32 @@ class TestAnalyzeJacobian:
         assert not any(h.matched for h in hyps)
 
 
+JORDAN = "computed: Jordan's theorem and Atkinson's minimal-block test"
+CHAIN = "computed: stabilizer-chain basic orbit sizes"
+
+
+def _transitivity_citations(verdict):
+    return [e.citation for e in verdict.checklist if "transitively" in e.hypothesis]
+
+
+@pytest.mark.parametrize(
+    "build,citation",
+    [
+        (lambda: fam.symmetric_group(24), JORDAN),
+        (lambda: fam.alternating_group(9), JORDAN),
+        (lambda: fam.alternating_group(5), JORDAN),
+        (lambda: fam.mathieu_group(24), CHAIN),
+        (fam.psl2_7_on_7_points, CHAIN),
+    ],
+)
+def test_transitivity_citation_names_how_it_was_read(build, citation):
+    """A giant's transitivity degree comes from Jordan's theorem, no chain."""
+    group = build()
+    verdict = analyze_jacobian(case_from_group(group, 0))
+    assert _transitivity_citations(verdict) == [citation]
+    assert (group.giant is not None) == (citation == JORDAN)
+
+
 class TestHomPair:
     def test_vanishing_with_heuristic_flag(self):
         v = hom_pair_analysis(IntPoly.parse("x^3 - 2"), IntPoly.parse("x^3 + x - 1"), 0)
@@ -323,6 +349,8 @@ class TestHomPair:
         disjoint = [e for e in v.checklist if "disjoint" in e.hypothesis]
         assert disjoint and disjoint[0].status == "heuristic"
         assert v.conditional
+        # both candidate groups are S3, recognised by Jordan's theorem
+        assert _transitivity_citations(v) == [JORDAN, JORDAN]
 
     def test_positive_char_supersingular_caveat(self):
         v = hom_pair_analysis(IntPoly.parse("x^3 - 2"), IntPoly.parse("x^3 + x - 1"), 7)
