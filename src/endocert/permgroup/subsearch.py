@@ -34,7 +34,7 @@ from typing import Literal, Optional, Union
 from ..arith import partitions, prime_power, symmetric_class_size
 from .chain import StabilizerChain, closure_elements
 from .groups import SUBGROUP_LATTICE_BOUND, PermGroup, _is_transitive
-from .perms import Perm, _cycle_type
+from .perms import Perm
 from .structure import TriState, is_simple
 
 #: r above this is out of reach for the backtrack (Sym(r)^k blow-up).
@@ -50,9 +50,25 @@ SearchMethod = Literal["lagrange-shortcut", "action-backtrack", "exhaustive", "u
 
 @lru_cache(maxsize=256)
 def _perms_of_order_dividing(r: int, d: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        p for p in itertools.permutations(range(r)) if d % math.lcm(*_cycle_type(p)) == 0
-    )
+    """The permutations of range(r) whose order divides d, in lexicographic
+    order.  Each is built cycle by cycle, of lengths dividing d, the next
+    cycle through the least point not yet placed, so each appears once."""
+    lengths = [k for k in range(1, r + 1) if d % k == 0]
+    images, out = list(range(r)), []
+
+    def place(free: list[int]) -> None:
+        if not free:
+            out.append(tuple(images))
+            return
+        for k in lengths:
+            for rest in itertools.permutations(free[1:], k - 1):
+                cycle = (free[0], *rest)
+                for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+                    images[x] = y
+                place([x for x in free[1:] if x not in rest])
+
+    place(list(range(r)))
+    return tuple(sorted(out))
 
 
 def _count_of_order_dividing(r: int, d: int) -> int:

@@ -8,15 +8,12 @@ census against the exact cycle-type distributions of candidate groups.
 
 The discriminant decides squarefreeness over Q (disc != 0) and at every
 prime not dividing the leading coefficient (p does not divide disc), so no
-prime pays for a gcd(f, f').  The distinct-degree factorization pays for one
-x^p mod f per prime and builds the Frobenius matrix Q of f mod p from it;
-each further power x^(p^d) is then one matrix-vector product.  One gcd of f
-with the product of x^(p^d) - x over d <= n/2 separates the factors of
-degree <= n/2 from the one factor of larger degree, if any, and only those
-small factors are split degree by degree.  The products run on packed
-polynomials, one Python integer each, with slots wide enough that no
-coefficient sum carries into the next; the gcds and the division run on
-coefficient lists.
+prime pays for a gcd(f, f').  The distinct-degree factorization computes
+x^p mod f once per prime and each further x^(p^d) with the Frobenius
+matrix, and one gcd splits off the factor of degree > n/2, if any.  It runs
+entirely on packed polynomials mod p, one Python integer each: Barrett
+reduction mod p of all coefficients at once, Barrett division modulo f, and
+gcds and exact divisions that never loop over coefficients.
 
 Identification is evidence, never proof: matches carry a confidence below
 1 and downstream verdicts stay flagged as conditional on the group
@@ -211,59 +208,10 @@ def is_squarefree(f: IntPoly) -> bool:
     return f.discriminant != 0
 
 
-# -- arithmetic mod p ---------------------------------------------------------
-
-
-def _pm_monic(a: list[int], p: int) -> list[int]:
-    """a mod p, trimmed and scaled to leading coefficient 1 ([] for zero)."""
-    a = [x % p for x in a]
-    while a and not a[-1]:
-        a.pop()
-    inv = pow(a[-1], p - 2, p) if a else 0
-    return [x * inv % p for x in a]
-
-
-def _pm_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by a monic b mod p; the quotient is
-    reduced mod p, the remainder's entries not yet."""
-    r, db = list(a), len(b) - 1
-    q = [0] * max(0, len(r) - db)
-    for i in range(len(q) - 1, -1, -1):
-        q[i] = c = r[i + db] % p
-        if c:
-            r[i : i + db] = [x - c * y for x, y in zip(r[i : i + db], b)]
-    return q, r[:db]
-
-
-def _pm_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    """Monic gcd mod p; every divisor is made monic once, so no step
-    inverts a leading coefficient.  In the usual step deg a = deg b + 1
-    and the remainder is a - (x + c) b, one pass instead of the two of
-    ``_pm_divmod``, which saves about 30 % of the gcd time of a census."""
-    a, b = _pm_monic(a, p), _pm_monic(b, p)
-    if not b:
-        a, b = b, a
-    while len(b) > 1:
-        db = len(b) - 1
-        if len(a) == db + 2:
-            c = (a[-2] - b[-2]) % p
-            r = [x - y - c * z for x, y, z in zip(a, [0, *b], b[:db])]
-        else:
-            r = _pm_divmod(a, b, p)[1]
-        a, b = b, _pm_monic(r, p)
-    return b or a
-
-
 # -- packed polynomials mod p (Kronecker substitution) --------------------------
 
 
 _LITTLE_ENDIAN = sys.byteorder == "little"
-
-
-def _slot_bytes(n: int, p: int) -> int:
-    """Bytes per packed coefficient for degree n mod p: at least one 64-bit
-    word, and room for 2n(p-1)^2, the largest value a slot reaches."""
-    return max(8, ((2 * n * (p - 1) ** 2).bit_length() + 7) // 8)
 
 
 def _pack(c: Sequence[int], k: int) -> int:
@@ -273,43 +221,95 @@ def _pack(c: Sequence[int], k: int) -> int:
     return int.from_bytes(b"".join([v.to_bytes(k, "little") for v in c]), "little")
 
 
-def _unpack(x: int, count: int, k: int, p: int) -> list[int]:
-    """The first ``count`` slots of a packed polynomial, each reduced mod p."""
+def _unpack(x: int, count: int, k: int) -> list[int]:
+    """The first ``count`` slots of a packed polynomial."""
     b = x.to_bytes(count * k, "little")
     if k == 8 and _LITTLE_ENDIAN:
-        return [v % p for v in memoryview(b).cast("Q")]
-    return [int.from_bytes(b[i : i + k], "little") % p for i in range(0, len(b), k)]
+        return memoryview(b).cast("Q").tolist()
+    return [int.from_bytes(b[i : i + k], "little") for i in range(0, len(b), k)]
+
+
+class _Slots:
+    """Polynomials mod p of degree <= n packed into w-bit slots of one
+    integer, slot i holding coefficient i, canonical in [0, p) between steps.
+
+    No slot the DDF forms exceeds 3n(p-1)^2 < 2^b, so none carries into the
+    next, and ``vmod`` reduces all slots at once by Barrett's method (CRYPTO
+    '86): q = floor(v m / 2^b) with m = floor(2^b / p) is floor(v / p) or one
+    less, and bit c of v - q p + 2^c - p says which.  v m < 2^(2b - c + 1)
+    must fit a slot, so w is the least multiple of 64 with w >= 2b - c + 3.
+    """
+
+    def __init__(self, n: int, p: int):
+        self.p, self.b, self.c = p, (3 * n * (p - 1) ** 2).bit_length(), p.bit_length()
+        self.w = w = (2 * self.b - self.c + 66) // 64 * 64
+        ones = int.from_bytes((b"\1" + bytes(w // 8 - 1)) * (n + 1), "little")
+        self.m, self.ones = (1 << self.b) // p, ones
+        self.low = ((1 << w - self.b) - 1) * ones  # room for each slot's q
+        self.bias = ((1 << self.c) - p) * ones
+
+    def vmod(self, x: int) -> int:
+        p = self.p
+        x -= (x * self.m >> self.b & self.low) * p
+        return x - ((x + self.bias) >> self.c & self.ones) * p
+
+    def monic(self, a: int) -> int:
+        lead = a >> (a.bit_length() - 1) // self.w * self.w if a else 1
+        return a if lead == 1 else self.vmod(a * pow(lead, -1, self.p))
+
+    def divmod(self, a: int, b: int) -> tuple[int, int]:
+        """Quotient and remainder of a by a monic b.  Each step clears the top
+        slot t mod p of a and adds (p - t) times the shifted tail of b; at
+        most n steps of < p^2 each stay lazy until one ``vmod``."""
+        w, p = self.w, self.p
+        db = (b.bit_length() - 1) // w
+        tail, q = b & (1 << db * w) - 1, 0
+        for i in range((a.bit_length() - 1) // w, db - 1, -1):
+            v = a >> i * w
+            a -= v << i * w
+            top = v % p
+            q = q << w | top
+            if top:
+                a += (p - top) * tail << (i - db) * w
+        return q, self.vmod(a)
+
+
+def _pm_gcd(a: int, b: int, r: _Slots) -> int:
+    """Monic gcd of two packed polynomials mod p; every divisor is made
+    monic once, so no division step inverts a leading coefficient."""
+    a, b = r.monic(a), r.monic(b)
+    while b >> r.w:
+        a, b = b, r.monic(r.divmod(a, b)[1])
+    return b or a
 
 
 def degree_pattern_mod_p(f: IntPoly, p: int) -> Optional[tuple[int, ...]]:
     """Multiset of irreducible-factor degrees of f mod p, descending.
 
     Blocked distinct-degree factorization (von zur Gathen-Shoup,
-    *Comput. Complexity* 2, 1992): with m = n // 2, one gcd of f with
-    P = prod_{d <= m} (x^(p^d) - x) mod f gives the product g of all
-    factors of degree <= m.  A squarefree f has at most one factor of
-    degree > n/2, so when deg g < n it is that factor, of degree n - deg g.
-    The factors inside g are then split by degree as usual: the product of
-    those of degree d is gcd(work, x^(p^d) - x), where ``work`` is what
-    remains of g after the factors of degree < d are divided out.  No
-    equal-degree splitting is needed because only the partition matters.
+    *Comput. Complexity* 2, 1992): one gcd of f with P = prod_{d <= n/2}
+    (x^(p^d) - x) mod f gives the product g of all factors of degree
+    <= n/2.  A squarefree f has at most one factor of larger degree, so
+    when deg g < n it is that factor, of degree n - deg g.  Inside g, the
+    product of the factors of degree d is gcd(work, x^(p^d) - x), where
+    ``work`` is g with the factors of degree < d divided out; only the
+    partition matters, so no equal-degree splitting is needed.
 
     The powers x^(p^d) come from the Frobenius (Berlekamp) matrix Q of
-    f mod p, whose row i is x^(p*i) mod f: x^p mod f is computed once by
-    square-and-multiply, and then each next power is h(x)^p = sum_i h_i Q_i
-    (Cohen, GTM 138, section 3.4; von zur Gathen-Gerhard, *Modern Computer
-    Algebra*, ch. 14).  The powers stay reduced modulo f itself, never
-    modulo ``work``: ``work`` divides f, so h is congruent to x^(p^d)
-    modulo ``work`` and every gcd is unchanged.
+    f mod p, row i = x^(p*i) mod f: x^p mod f by square-and-multiply once,
+    then h(x)^p = sum_i h_i Q_i (Cohen, GTM 138, section 3.4; von zur
+    Gathen-Gerhard, *Modern Computer Algebra*, ch. 14).  They stay reduced
+    modulo f, never modulo ``work``: ``work`` divides f, so every gcd is
+    unchanged.
 
-    x^p, the rows of Q, h^p and P are computed on packed polynomials, the
-    coefficients in fixed-width slots of one integer (Kronecker
-    substitution; von zur Gathen-Gerhard, section 8.4).  A product is one
-    big-integer product, reduced modulo f by the table R_j = x^(n+j) mod f,
-    built once per prime by the recurrence R_(j+1) = x R_j mod f: the
-    remainder is the low half plus sum_j c_j R_j over the high coefficients
-    c_j, and multiplying by x is a shift.  No slot value exceeds
-    2n(p-1)^2, so ``_slot_bytes`` keeps every odd p exact.
+    Every polynomial, gcds and divisions included, is a packed integer
+    (Kronecker substitution; von zur Gathen-Gerhard, section 8.4) with its
+    slots reduced mod p at once by ``_Slots.vmod``; only the matrix-vector
+    step reads coefficients out.  A product x is reduced modulo the monic f
+    by Barrett division with mu = x^(2n-2) div f (von zur Gathen-Gerhard,
+    section 9.1): the quotient (x div x^n) mu div x^(n-2) is exact, since
+    polynomial division carries nothing.  mu is one packed long division
+    per prime; for x^n + a x + b it is x^(n-2).
 
     Returns None for a bad prime: p dividing the leading coefficient, or
     f mod p not squarefree, which for p not dividing lc(f) holds exactly
@@ -325,22 +325,20 @@ def degree_pattern_mod_p(f: IntPoly, p: int) -> Optional[tuple[int, ...]]:
         return (1,) * n
     if f.discriminant % p == 0:
         return None
-    fp = [x % p for x in f.coeffs]
-    k = _slot_bytes(n, p)
-    w, mask = 8 * k, (1 << 8 * k * n) - 1
+    r = _Slots(n, p)
+    vmod, w, k = r.vmod, r.w, r.w // 8
+    inv = pow(f.leading(), -1, p)
+    fm = _pack([c * inv % p for c in f.coeffs], k)  # f / lc(f) mod p
+    low, shift = (1 << w * n) - 1, w * (n - 2)
+    mu = r.divmod(1 << w * (2 * n - 2), fm)[0]
+    tail = r.vmod(p * r.ones - fm) & low  # -f mod p without its x^n
 
     def reduce(x: int) -> int:
-        # x packed, of degree < 2n -> x mod f packed, slots reduced mod p
-        high = _unpack(x >> w * n, n, k, p)
-        return _pack(_unpack(sum(map(operator.mul, high, table), x & mask), n, k, p), k)
+        # x of degree <= 2n - 2; its high half is reduced before it meets mu,
+        # or a dense mu overflows a slot
+        q = vmod(vmod(x >> w * n) * mu >> shift)
+        return vmod((x & low) + (q * tail & low))
 
-    inv = pow(fp[-1], p - 2, p)
-    row = low = [-c * inv % p for c in fp[:-1]]
-    table = [_pack(low, k)]
-    while len(table) < n:  # x^(n+j+1) = x * x^(n+j), its top coefficient times x^n
-        top = row[-1]
-        row = [top * low[0] % p, *[(x + top * y) % p for x, y in zip(row, low[1:])]]
-        table.append(_pack(row, k))
     xp = 1
     for bit in bin(p)[2:]:
         xp = reduce(xp * xp)
@@ -349,26 +347,28 @@ def degree_pattern_mod_p(f: IntPoly, p: int) -> Optional[tuple[int, ...]]:
     rows = [1, xp]
     while len(rows) < n:
         rows.append(reduce(rows[-1] * xp))
-    h = _unpack(xp, n, k, p)
-    diffs = [[h[0], (h[1] - 1) % p, *h[2:]]]  # x^(p^d) - x mod f, d = 1 .. n // 2
-    prod = _pack(diffs[0], k)
+    minus_x = (p - 1) << w
+    diffs = [vmod(xp + minus_x)]  # x^(p^d) - x mod f, d = 1 .. n // 2
+    prod, h = diffs[0], xp
     while len(diffs) < n // 2:
-        h = _unpack(sum(map(operator.mul, h, rows)), n, k, p)
-        diffs.append([h[0], (h[1] - 1) % p, *h[2:]])
-        prod = reduce(prod * _pack(diffs[-1], k))
-    work = _pm_gcd(fp, _unpack(prod, n, k, p), p)
+        h = vmod(sum(map(operator.mul, _unpack(h, n, k), rows)))
+        diffs.append(vmod(h + minus_x))
+        prod = reduce(prod * diffs[-1])
+    work = _pm_gcd(fm, prod, r)
+    left = (work.bit_length() - 1) // w
     # at most one factor has degree > n/2, and it is what the gcd leaves out
-    degrees = [n + 1 - len(work)] if len(work) <= n else []
+    degrees = [n - left] if left < n else []
     d = 1
-    while 2 * d <= len(work) - 1:
-        g = _pm_gcd(work, diffs[d - 1], p)
-        if len(g) > 1:
-            degrees.extend([d] * ((len(g) - 1) // d))
-            work = _pm_divmod(work, g, p)[0]
+    while 2 * d <= left:
+        g = _pm_gcd(work, diffs[d - 1], r)
+        dg = (g.bit_length() - 1) // w
+        if dg:
+            degrees.extend([d] * (dg // d))
+            work, left = r.divmod(work, g)[0], left - dg
         d += 1
-    if len(work) > 1:
+    if left:
         # no factor of degree < d is left and 2d exceeds the degree
-        degrees.append(len(work) - 1)
+        degrees.append(left)
     return tuple(sorted(degrees, reverse=True))
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 from endocert import polygal
 from endocert.fflin import FSubalgebra, MatF, kernel
@@ -138,6 +138,24 @@ def backtrack_has_index(group, r):
     if group.order() % r:
         return False
     return subsearch._homomorphism_search(group, r) is not None
+
+
+def sym_with_orders(r):
+    """Every permutation of range(r) as an image tuple, in lexicographic
+    order, with its order: the lcm of its cycle lengths, each found by
+    walking the cycle.  Filtering this list is the enumeration of Sym(r) that
+    ``subsearch._perms_of_order_dividing`` replaced."""
+    out = []
+    for images in permutations(range(r)):
+        order, seen = 1, set()
+        for start in range(r):
+            length, x = 0, start
+            while x not in seen:
+                seen.add(x)
+                x, length = images[x], length + 1
+            order = math.lcm(order, max(length, 1))
+        out.append((images, order))
+    return out
 
 
 def rational_poly_gcd_degree(f_coeffs, g_coeffs):

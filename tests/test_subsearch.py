@@ -13,7 +13,7 @@ from endocert.permgroup import (
 )
 from endocert.permgroup.chain import closure_elements
 from endocert.verdict import analyze_jacobian, case_from_group
-from oracles import backtrack_has_index
+from oracles import backtrack_has_index, sym_with_orders
 
 
 @st.composite
@@ -215,6 +215,15 @@ def test_order_dividing_counts_are_the_list_lengths(r):
     for d in range(1, 13):
         count = subsearch._count_of_order_dividing(r, d)
         assert count == len(subsearch._perms_of_order_dividing(r, d))
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_order_dividing_lists_match_the_filter_over_sym(r):
+    # the same tuples in the same order keep the backtrack's assignment order
+    everything = sym_with_orders(r)
+    for d in range(1, 13):
+        expected = tuple(images for images, order in everything if d % order == 0)
+        assert subsearch._perms_of_order_dividing.__wrapped__(r, d) == expected
 
 
 def test_backtrack_lists_only_the_non_pivot_images(monkeypatch):
