@@ -9,10 +9,14 @@ elimination instead of bit-packed rows, exhaustive matrix enumeration and
 the Sylvester kernel in d^2 unknowns instead of spinning, the action
 backtrack alone instead of the index-search ladder, Fraction-based Euclid
 and a Fraction determinant of the Sylvester matrix instead of the
-subresultant discriminant, a square-and-multiply ladder and a gcd(f, f')
-mod p for every prime instead of the Frobenius matrix, the blocked gcd and
-the discriminant, and every candidate's full
-cycle-type distribution instead of the Lagrange refutation in `identify`.
+subresultant discriminant, a square-and-multiply ladder, a gcd(f, f') mod
+p for every prime and schoolbook arithmetic on coefficient lists, each
+entry reduced mod p, instead of the Frobenius matrix, the blocked gcd, the
+discriminant and packed integers with slot-parallel Barrett reduction and
+Barrett division modulo f, a walk over all of Sym(r) filtered by order
+instead of the cycle-by-cycle enumeration of the permutations whose order
+divides d, and every candidate's full cycle-type distribution instead of
+the Lagrange refutation in `identify`.
 """
 
 from __future__ import annotations

@@ -167,6 +167,23 @@ class TestHomCheck:
         assert out == "" and err.startswith("error: ")
 
 
+    @pytest.mark.parametrize("pair", [("x^7 - x - 1", "x^8 - x - 1"),
+                                      ("x^3 - 2", "x^3 + x - 1"),
+                                      ("x^5 - x - 1", "x^7 - 7*x + 3"),
+                                      ("x^5 - 2", "x^5 - x - 1"),
+                                      ("x^7 - 7*x + 3", "x^7 - x - 1")])
+    def test_swapping_the_polynomials_keeps_the_answer(self, capsys, pair):
+        # Hom(X, Y) = 0 exactly when Hom(Y, X) = 0
+        answers = []
+        for first, second in (pair, pair[::-1]):
+            code, out, _ = run(capsys, "hom-check", "--poly", first, "--poly2", second,
+                               "--format", "machine")
+            report = json.loads(out)
+            answers.append((code, report["outcome"],
+                            [entry["status"] for entry in report["checklist"]]))
+        assert answers[0] == answers[1]
+
+
 class TestIdentify:
     def test_table(self, capsys):
         code, out, _ = run(capsys, "identify", "--poly", "x^5 - 2")

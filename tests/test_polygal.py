@@ -214,9 +214,10 @@ class TestDegreePatternOracle:
             assert any(ddf_pattern_mod_p(f.coeffs, p) is None for p in primes), name
 
 
-# 2^31 - 1, 10^9 + 7 and the first prime above 2^40: a slot must hold
-# 2n(p-1)^2, more than one 64-bit word from degree 3 at the first, from
-# degree 10 at the second and at every packed degree (n >= 2) at the third
+# 2^31 - 1, 10^9 + 7 and the first prime above 2^40: a Barrett slot has at
+# least 2b - bits(p) + 3 bits, b the bit length of 3n(p-1)^2, so two 64-bit
+# words at every packed degree (n >= 2) at the first two, and three from
+# degree 3 at the third
 _WIDE_PRIMES = (2**31 - 1, 10**9 + 7, 2**40 + 15)
 _WIDE_POLYS = {
     **{name: _ORACLE_POLYS[name] for name in ("x^24-x-1", "trinks", "dense11", "dense24")},
@@ -237,6 +238,31 @@ class TestDegreePatternWideSlots:
         mine = [degree_pattern_mod_p(f, p) for p in _WIDE_PRIMES]
         assert mine == [ddf_pattern_mod_p(f.coeffs, p) for p in _WIDE_PRIMES]
         assert all(pattern is not None and sum(pattern) == f.degree for pattern in mine)
+
+
+def _slot_bits(n, p):
+    return 2 * (3 * n * (p - 1) ** 2).bit_length() - p.bit_length() + 3
+
+
+# at each degree, the largest prime whose slot fits one 64-bit word and the
+# smallest prime whose slot needs a second one
+_WORD_EDGES = {2: (428047, 428083), 12: (123553, 123581), 24: (61781, 61813)}
+_EDGE_POLYS = {2: ("dense2",), 12: ("x^12-x-1",), 24: ("x^24-x-1", "dense24")}
+
+
+@pytest.mark.parametrize("n", sorted(_WORD_EDGES))
+def test_degree_pattern_on_both_sides_of_a_second_slot_word(n):
+    below, above = _WORD_EDGES[n]
+    assert is_prime(below) and is_prime(above)
+    assert not any(is_prime(q) for q in range(below + 2, above, 2))
+    assert not any(is_prime(q) for q in range(3, below, 2) if _slot_bits(n, q) > 64)
+    assert _slot_bits(n, above) > 64
+    assert (polygal._Slots(n, below).w, polygal._Slots(n, above).w) == (64, 128)
+    for name in _EDGE_POLYS[n]:
+        f = _ORACLE_POLYS[name]
+        assert f.degree == n
+        for p in (below, above):
+            assert degree_pattern_mod_p(f, p) == ddf_pattern_mod_p(f.coeffs, p)
 
 
 def test_degree_pattern_at_a_61_bit_prime():
@@ -285,7 +311,7 @@ def test_census_gcd_work(monkeypatch):
     # 928 mod-p gcds for the 201 primes, against 1,907 per-degree gcds
     calls = []
     gcd = polygal._pm_gcd
-    monkeypatch.setattr(polygal, "_pm_gcd", lambda a, b, p: calls.append(p) or gcd(a, b, p))
+    monkeypatch.setattr(polygal, "_pm_gcd", lambda a, b, r: calls.append(r.p) or gcd(a, b, r))
     census(IntPoly.parse("x^24 - x - 1"))
     assert len(calls) <= 1000
 
