@@ -7,7 +7,9 @@ x^20 - x - 1 and x^24 - x - 1 (the census benchmark's cases) and on
 x^12 - x - 1 (every candidate rejected), two
 `hom-check` runs (one of them the census benchmark's pair), and two
 `group-check` runs with `--dump-action --dump-centralizer`, which pin the
-matrix dump format and the echelon order of the commutant basis).  A
+matrix dump format and the echelon order of the commutant basis, and the
+benchmark's `group-check` A12, A24 and PSL(2,25) on 26 from their generator
+files and `analyze` on x^12 - x - 1).  A
 refactor must leave every one of them unchanged.  A change that alters a verdict on purpose
 (the S_n descent, certified Galois groups and proof-carrying
 checklists: ROADMAP items 1, 2 and 4) regenerates the file with
@@ -28,7 +30,8 @@ import pytest
 from endocert import cli
 from endocert.verdict import analyze_jacobian, case_from_group
 
-GOLDEN = Path(__file__).resolve().parent / "golden_reports.json"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden_reports.json"
 
 CLI_CASES = [
     ("group-check", "--degree", "9", "--generators", "S9"),
@@ -45,6 +48,10 @@ CLI_CASES = [
      "--dump-action", "--dump-centralizer"),
     ("group-check", "--degree", "7", "--generators", "PSL2_7",
      "--dump-action", "--dump-centralizer"),
+    # the groups and poly-analyze benchmark cases not pinned above
+    *(("group-check", "--degree", str(n), "--generators", f"@perfbench/groups/{name}.txt")
+      for name, n in (("A12", 12), ("A24", 24), ("PSL2_25", 26))),
+    ("analyze", "--poly", "x^12 - x - 1"),
 ]
 FIXTURES = [name for name, _, _, _ in cli._SELFTEST_CASES]
 
@@ -55,6 +62,8 @@ def _fixture_report(name: str) -> str:
 
 
 def _cli_report(argv: tuple) -> str:
+    # an @file generator argument names a file under the repository root
+    argv = [f"@{ROOT / a[1:]}" if a.startswith("@") else a for a in argv]
     out = io.StringIO()
     with redirect_stdout(out):
         code = cli.main([*argv, "--format", "machine"])
