@@ -199,10 +199,8 @@ class StabilizerChain:
         sub._read_only = True
         return sub
 
-    def elements(self, limit: Optional[int] = None) -> Iterator[tuple[int, ...]]:
-        """Iterate all elements via the transversal product; optional cap."""
-        if limit is not None and self.order() > limit:
-            raise ValueError(f"group order {self.order()} exceeds limit {limit}")
+    def elements(self) -> Iterator[tuple[int, ...]]:
+        """Iterate all elements via the transversal product."""
         active = [lv for lv in self.levels if len(lv.orbit) > 1]
 
         def rec(i: int, suffix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:

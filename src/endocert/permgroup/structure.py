@@ -97,7 +97,7 @@ def conjugacy_class_representatives(group: PermGroup) -> Optional[list[Perm]]:
     if group.order() > EXHAUSTIVE_BOUND:
         return None
     conjugators = _conjugators(group)
-    all_elems = sorted(bytes(t) for t in group.chain.elements(limit=EXHAUSTIVE_BOUND))
+    all_elems = sorted(bytes(t) for t in group.chain.elements())
     classified: set[bytes] = set()
     reps = []
     for key in all_elems:

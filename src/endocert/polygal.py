@@ -253,21 +253,19 @@ class _Slots:
         x -= (x * self.m >> self.b & self.low) * p
         return x - ((x + self.bias) >> self.c & self.ones) * p
 
-    def monic(self, a: int) -> int:
-        lead = a >> (a.bit_length() - 1) // self.w * self.w if a else 1
-        return a if lead == 1 else self.vmod(a * pow(lead, -1, self.p))
-
     def divmod(self, a: int, b: int) -> tuple[int, int]:
-        """Quotient and remainder of a by a monic b.  Each step clears the top
-        slot t mod p of a and adds (p - t) times the shifted tail of b; at
-        most n steps of < p^2 each stay lazy until one ``vmod``."""
+        """Quotient and remainder of a by b != 0.  Each step clears the top
+        slot of a, whose quotient digit is t = top / lc(b) mod p, and adds
+        (p - t) times the shifted tail of b; at most n steps of < p^2 each
+        stay lazy until one ``vmod``."""
         w, p = self.w, self.p
         db = (b.bit_length() - 1) // w
         tail, q = b & (1 << db * w) - 1, 0
+        inv = pow(b >> db * w, -1, p)
         for i in range((a.bit_length() - 1) // w, db - 1, -1):
             v = a >> i * w
             a -= v << i * w
-            top = v % p
+            top = v * inv % p
             q = q << w | top
             if top:
                 a += (p - top) * tail << (i - db) * w
@@ -275,11 +273,10 @@ class _Slots:
 
 
 def _pm_gcd(a: int, b: int, r: _Slots) -> int:
-    """Monic gcd of two packed polynomials mod p; every divisor is made
-    monic once, so no division step inverts a leading coefficient."""
-    a, b = r.monic(a), r.monic(b)
+    """A gcd of two packed polynomials mod p, defined up to a unit: the DDF
+    reads only its degree and divides by it exactly."""
     while b >> r.w:
-        a, b = b, r.monic(r.divmod(a, b)[1])
+        a, b = b, r.divmod(a, b)[1]
     return b or a
 
 
@@ -469,7 +466,7 @@ def cycle_type_distribution(group: PermGroup) -> dict[tuple[int, ...], Fraction]
     if order > EXHAUSTIVE_BOUND:
         raise ValueError(f"group order {order} exceeds the census bound")
     counts: dict[tuple[int, ...], int] = {}
-    for g in group.chain.elements(limit=EXHAUSTIVE_BOUND):
+    for g in group.chain.elements():
         t = _cycle_type(g)
         counts[t] = counts.get(t, 0) + 1
     return {t: Fraction(c, order) for t, c in counts.items()}

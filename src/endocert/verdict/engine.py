@@ -8,7 +8,9 @@ facts for everything that cannot be recomputed at desk scale, and emits a
 verdict from a closed outcome set together with the full checklist.  The
 engine never extrapolates beyond the encoded theorems: anything it cannot
 justify becomes INCONCLUSIVE naming the first failed or unknown
-hypothesis.
+hypothesis.  Families supply their cited facts to the one generic route
+through the ``_FAMILY_FACTS`` table; only A_n, the degree-12 reduction and
+PSL(2,q) on the projective line with q = +-3 (mod 8) keep rules of their own.
 """
 
 from __future__ import annotations
@@ -257,35 +259,34 @@ def _validate_degree(n: int) -> None:
 class Recognition:
     kind: str
     label: str
-    parameter: int = 0
 
 
-def recognize(group: PermGroup, n: int) -> Recognition:
+def recognize(group: PermGroup) -> Recognition:
     """Identify the group among the engine's known multiply transitive families.
 
     Degree, order and transitivity pin the family by the classification of
     multiply transitive groups; the match is recorded in checklists as a
     cited identification.
     """
-    order = group.order()
+    n, order = group.degree, group.order()
     trans = group.transitivity_degree()
     if order == math.factorial(n):
         return Recognition("symmetric", f"S{n}")
     if order == math.factorial(n) // 2 and all(g.is_even() for g in group.generators):
-        return Recognition("alternating", f"A{n}", n)
+        return Recognition("alternating", f"A{n}")
     if n in MATHIEU_ORDERS and order == MATHIEU_ORDERS[n] and trans >= 3:
-        return Recognition(f"mathieu{n}", f"M{n}", n)
+        return Recognition(f"mathieu{n}", f"M{n}")
     if n == 12 and order == 7920 and trans >= 3:
-        return Recognition("mathieu11-deg12", "M11 (degree 12)", 11)
+        return Recognition("mathieu11-deg12", "M11 (degree 12)")
     if n == 11 and order == 660 and trans >= 2:
-        return Recognition("psl2-11-deg11", "PSL(2,11) (degree 11)", 11)
+        return Recognition("psl2-11-deg11", "PSL(2,11) (degree 11)")
     if n == 7 and order == 168 and trans >= 2:
-        return Recognition("psl2-7-deg7", "PSL(2,7) (degree 7)", 7)
+        return Recognition("psl2-7-deg7", "PSL(2,7) (degree 7)")
     if n == 15 and order == 2520 and trans >= 2:
-        return Recognition("a7-deg15", "A7 (degree 15)", 7)
+        return Recognition("a7-deg15", "A7 (degree 15)")
     q = n - 1
     if is_odd_prime_power(q) and q >= 5 and order == (q + 1) * q * (q - 1) // 2 and trans >= 2:
-        return Recognition("psl2-natural", f"PSL(2,{q}) (projective line)", q)
+        return Recognition("psl2-natural", f"PSL(2,{q}) (projective line)")
     return Recognition("generic", group.name or f"degree-{n} group")
 
 
@@ -568,11 +569,7 @@ def _hp_units_solvable_entries() -> list[ChecklistEntry]:
 
 
 def _refine_center_q(
-    ctx: _Ctx,
-    char: int,
-    entries: list[ChecklistEntry],
-    quaternion_exclusion: Optional[FactRecord] = None,
-    q_side_exclusion: Optional[FactRecord] = None,
+    ctx: _Ctx, char: int, entries: list[ChecklistEntry], facts: _FamilyFacts
 ) -> list[_Survivor]:
     """Exclude matrix-algebra shapes M_d(Q) and M_d(H); return survivors.
 
@@ -580,7 +577,8 @@ def _refine_center_q(
     the integral order obstruction (an order-q element of the perfect
     preimage would have to live in GL(d, Z)); quaternion exclusions use
     the parity of factor dimensions, ramification confinement, unit-group
-    structure, and finally the supplied cited fact for whatever remains.
+    structure, and finally the family's cited quaternion exclusion for
+    whatever remains.
     """
     order = ctx.group.order()
     g = (ctx.group.degree - 1) // 2
@@ -598,9 +596,9 @@ def _refine_center_q(
     primes = list(factorize(order))
 
     # Q-matrix side: d > 1 dividing g
-    if q_side_exclusion is not None:
+    if facts.q_side is not None:
         entries.append(
-            _fact_entry("matrix algebras M_d(Q) with d > 1 excluded", q_side_exclusion)
+            _fact_entry("matrix algebras M_d(Q) with d > 1 excluded", fact(facts.q_side))
         )
     else:
         for d in _divisors(g):
@@ -632,7 +630,6 @@ def _refine_center_q(
 
     # quaternion side: candidates M_d(H), d dividing g (d = 1 included)
     candidates: list[_Survivor] = []
-    hp_machinery_used = False
     for d in _divisors(g):
         factor = g // d
         if char == 0 and factor % 2 == 1:
@@ -641,18 +638,16 @@ def _refine_center_q(
             continue  # ramification is confined to primes dividing the order
         if d == 1 and quasi_simple:
             if g % 2 == 1 and char > 0:
-                if not hp_machinery_used:
-                    entries.extend(_hp_units_solvable_entries())
-                    entries.append(
-                        _entry(
-                            "End0 = H_p (d = 1) excluded: the perfect subgroup required "
-                            "by the quasi-simple analysis cannot be solvable",
-                            "verified",
-                            "derived: unit solvability versus quasi-simplicity",
-                            "",
-                        )
+                entries.extend(_hp_units_solvable_entries())
+                entries.append(
+                    _entry(
+                        "End0 = H_p (d = 1) excluded: the perfect subgroup required "
+                        "by the quasi-simple analysis cannot be solvable",
+                        "verified",
+                        "derived: unit solvability versus quasi-simplicity",
+                        "",
                     )
-                    hp_machinery_used = True
+                )
             else:
                 entries.append(
                     _fact_entry(
@@ -680,11 +675,9 @@ def _refine_center_q(
                 f"group order {order}",
             )
         )
-    if candidates and quaternion_exclusion is not None:
+    if candidates and facts.quaternion is not None:
         entries.append(
-            _fact_entry(
-                "remaining quaternionic shapes excluded", quaternion_exclusion
-            )
+            _fact_entry("remaining quaternionic shapes excluded", fact(facts.quaternion))
         )
         candidates = []
     survivors.extend(candidates)
@@ -795,7 +788,7 @@ def _analyze_group_case(
     group = ctx.group
     n = group.degree
     trans = group.transitivity_degree()
-    ident = recognize(group, n)
+    ident = recognize(group)
     # the projective-line route needs only double transitivity even for even n
     need = 2 if ident.kind == "psl2-natural" else required_transitivity(n)
     trans_ok = trans >= need
@@ -822,33 +815,53 @@ def _analyze_group_case(
         return _rule_alternating(ctx, char, entries, caveats)
     if ident.kind in ("mathieu12", "mathieu11-deg12") and n == 12:
         return _rule_degree12_reduction(ctx, char, entries, caveats, ident)
-    if ident.kind in ("mathieu22", "mathieu23", "mathieu24"):
-        return _rule_mathieu_large(ctx, char, entries, caveats)
-    if ident.kind in _CHAR_P_QUATERNION_FACT:
-        if ident.kind == "psl2-11-deg11":
-            entries.append(
-                _psl2_criterion(
-                    11,
-                    "PSL(2,11) has no proper subgroup of index dividing 5",
-                    "covers every escape index for genus 5",
-                )
-            )
-        exclusion = None if char == 0 else fact(_CHAR_P_QUATERNION_FACT[ident.kind])
-        return _generic_rule(ctx, char, entries, caveats, quaternion_exclusion=exclusion)
-    if ident.kind == "psl2-natural":
-        return _rule_psl2_natural(ctx, char, entries, caveats, ident.parameter)
-    return _generic_rule(ctx, char, entries, caveats)
+    if ident.kind == "psl2-natural" and (n - 1) % 8 in (3, 5):
+        return _rule_psl2_natural(ctx, entries, caveats)
+    facts = _FAMILY_FACTS.get(ident.kind, _FamilyFacts())
+    if facts.simple is not None:
+        ctx.cited_simple = fact(facts.simple)
+        entries.append(_fact_entry(_SIMPLE_HYPOTHESIS, ctx.cited_simple))
+    entries.extend(_fact_entry(hypothesis, fact(key)) for hypothesis, key in facts.recorded)
+    return _generic_rule(ctx, char, entries, caveats, facts)
 
 
-def _generic_rule(
-    ctx: _Ctx,
-    char: int,
-    entries: list[ChecklistEntry],
-    caveats: list[str],
-    quaternion_exclusion: Optional[FactRecord] = None,
-    q_side_exclusion: Optional[FactRecord] = None,
-) -> Verdict:
-    """The theorem route driven by computed structure and the rule's cited facts."""
+@dataclass(frozen=True)
+class _FamilyFacts:
+    """The cited facts an identification supplies to the generic route, by key."""
+
+    simple: Optional[str] = None  # the group's simplicity, as ctx.cited_simple
+    recorded: tuple[tuple[str, str], ...] = ()  # (hypothesis, key), before the route
+    quaternion: Optional[str] = None  # the quaternionic shapes the route leaves
+    q_side: Optional[str] = None  # every M_d(Q) with d > 1
+
+
+#: One row per family whose exclusions rest on theorems the engine cannot
+#: compute at desk scale.  The quaternion facts of M11, PSL(2,11) on 11 and
+#: PSL(2,7) on 7 are statements in characteristic p > 0; their genera (5, 5,
+#: 3) are odd, so in characteristic 0 parity removes every quaternionic shape
+#: before the route would read the fact.
+_FAMILY_FACTS = {
+    "mathieu11": _FamilyFacts(quaternion="mathieu-deg11-12-trivial-endo"),
+    "psl2-11-deg11": _FamilyFacts(quaternion="deg11-supersingular-excluded"),
+    "psl2-7-deg7": _FamilyFacts(quaternion="deg7-psl2-not-supersingular"),
+    "mathieu22": _FamilyFacts(
+        simple="atlas-m22-simple",
+        recorded=(
+            ("no abelian surface carries a definite quaternion algebra (d = 5 branch)",
+             "no-definite-quaternion-surface"),
+            ("no perfect central extension of M22 has a 20-dimensional irreducible "
+             "representation", "m22-no-20dim-cover-rep"),
+        ),
+        quaternion="deg22-supersingular-excluded",
+        q_side="m22-q-matrix-excluded",
+    ),
+    "mathieu23": _FamilyFacts(simple="atlas-m23-simple", quaternion="m23-quaternion-excluded"),
+    "mathieu24": _FamilyFacts(simple="atlas-m24-simple", quaternion="m24-quaternion-excluded"),
+}
+
+
+def _generic_rule(ctx: _Ctx, char, entries, caveats, facts=_FamilyFacts()) -> Verdict:
+    """The theorem route driven by computed structure and the family's cited facts."""
     analysis = _center_analysis(ctx)
     entries.extend(analysis.entries)
     if analysis.blocked is not None:
@@ -862,11 +875,7 @@ def _generic_rule(
         and bool(analysis.live_product_dims)
     )
     if analysis.center_is_q is True or dichotomy:
-        survivors = _refine_center_q(
-            ctx, char, entries,
-            quaternion_exclusion=quaternion_exclusion,
-            q_side_exclusion=q_side_exclusion,
-        )
+        survivors = _refine_center_q(ctx, char, entries, facts)
         outcome, chars = _conclude_from_survivors(
             survivors, analysis.live_product_dims, char, entries, caveats
         )
@@ -947,102 +956,46 @@ def _rule_degree12_reduction(ctx: _Ctx, char, entries, caveats, ident) -> Verdic
     return _analyze_group_case(_Ctx(stab), char, entries, caveats)
 
 
-#: Families that run the generic rule as they are, with the cited fact that
-#: excludes the remaining quaternionic shapes in characteristic p > 0.
-_CHAR_P_QUATERNION_FACT = {
-    "mathieu11": "mathieu-deg11-12-trivial-endo",
-    "psl2-11-deg11": "deg11-supersingular-excluded",
-    "psl2-7-deg7": "deg7-psl2-not-supersingular",
-}
-
-
-def _psl2_criterion(q: int, hypothesis: str, evidence: str) -> ChecklistEntry:
-    """The checklist entry for ``psl2_subgroup_criterion(q)``."""
-    return _entry(
-        hypothesis,
-        "verified" if psl2_subgroup_criterion(q) else "failed",
-        "computed: subgroup-order catalogue arithmetic; "
-        + fact("suzuki-psl2-subgroups").citation,
-        evidence,
-    )
-
-
-def _rule_psl2_natural(ctx: _Ctx, char, entries, caveats, q: int) -> Verdict:
-    g = (ctx.group.degree - 1) // 2
+def _rule_psl2_natural(ctx: _Ctx, entries, caveats) -> Verdict:
+    """PSL(2,q) on the projective line with q = +-3 (mod 8): Suzuki's subgroup
+    catalogue settles the escape indices, and Mortimer's F_4 classification
+    cross-checks the computed heart commutant."""
+    q = ctx.group.degree - 1
+    criterion = psl2_subgroup_criterion(q)
     entries.append(
-        _psl2_criterion(
-            q,
-            f"PSL(2,{q}) has no proper subgroup of index dividing (q-1)/2 = {g}",
+        _entry(
+            f"PSL(2,{q}) has no proper subgroup of index dividing (q-1)/2 = {(q - 1) // 2}",
+            "verified" if criterion else "failed",
+            "computed: subgroup-order catalogue arithmetic; "
+            + fact("suzuki-psl2-subgroups").citation,
             "every 2-power-adjusted escape index divides the genus",
         )
     )
-    if entries[-1].status == "failed":
+    if not criterion:
         return _inconclusive(entries, caveats, "the subgroup-index criterion failed")
     report = ctx.centralizer()
-    if q % 8 in (3, 5):
-        consistent = (
-            report.classification is CentralizerClass.FIELD and report.field_size == 4
-        )
-        entries.append(
-            _entry(
-                "heart commutant is the field with 4 elements",
-                "verified" if consistent else "failed",
-                _COMMUTANT_METHOD + "; " + fact("mortimer-psl2-heart").citation,
-                f"dimension {report.dim}",
-            )
-        )
-        if not consistent:
-            raise InternalInconsistencyError(
-                f"PSL(2,{q}) heart commutant disagrees with the q = +-3 mod 8 classification"
-            )
-        entries.append(
-            _entry(
-                "center of the endomorphism algebra is a field (simple Q-algebra)",
-                "verified",
-                "field commutant plus the verified subgroup-index criterion",
-                "the jacobian is absolutely simple or isogenous to a power of a simple variety",
-            )
-        )
-        return Verdict(Outcome.END0_SIMPLE_Q_ALGEBRA, entries, caveats)
-    # q = +-1 mod 8: the heart genuinely decomposes; record and fall through
+    consistent = report.classification is CentralizerClass.FIELD and report.field_size == 4
     entries.append(
         _entry(
-            "heart commutant computed (q = +-1 mod 8: no field classification applies)",
+            "heart commutant is the field with 4 elements",
+            "verified" if consistent else "failed",
+            _COMMUTANT_METHOD + "; " + fact("mortimer-psl2-heart").citation,
+            f"dimension {report.dim}",
+        )
+    )
+    if not consistent:
+        raise InternalInconsistencyError(
+            f"PSL(2,{q}) heart commutant disagrees with the q = +-3 mod 8 classification"
+        )
+    entries.append(
+        _entry(
+            "center of the endomorphism algebra is a field (simple Q-algebra)",
             "verified",
-            _COMMUTANT_METHOD,
-            f"classification {report.classification.value}, dimension {report.dim}",
+            "field commutant plus the verified subgroup-index criterion",
+            "the jacobian is absolutely simple or isogenous to a power of a simple variety",
         )
     )
-    return _generic_rule(ctx, char, entries, caveats)
-
-
-def _rule_mathieu_large(ctx: _Ctx, char, entries, caveats) -> Verdict:
-    n = ctx.group.degree
-    key = {22: "m22", 23: "m23", 24: "m24"}[n]
-    ctx.cited_simple = fact(f"atlas-{key}-simple")
-    entries.append(_fact_entry(_SIMPLE_HYPOTHESIS, ctx.cited_simple))
-    if n == 22:
-        entries.append(
-            _fact_entry(
-                "no abelian surface carries a definite quaternion algebra (d = 5 branch)",
-                fact("no-definite-quaternion-surface"),
-            )
-        )
-        entries.append(
-            _fact_entry(
-                "no perfect central extension of M22 has a 20-dimensional irreducible representation",
-                fact("m22-no-20dim-cover-rep"),
-            )
-        )
-        return _generic_rule(
-            ctx, char, entries, caveats,
-            quaternion_exclusion=fact("deg22-supersingular-excluded"),
-            q_side_exclusion=fact("m22-q-matrix-excluded"),
-        )
-    return _generic_rule(
-        ctx, char, entries, caveats,
-        quaternion_exclusion=fact(f"{key}-quaternion-excluded"),
-    )
+    return Verdict(Outcome.END0_SIMPLE_Q_ALGEBRA, entries, caveats)
 
 
 # -- pairwise analysis and the multiplication bound ----------------------------------

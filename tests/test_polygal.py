@@ -374,7 +374,7 @@ class TestDistributions:
             assert closed == enumerated
 
     def test_closed_form_never_enumerates(self, monkeypatch):
-        def refuse(self, limit=None):
+        def refuse(self):
             raise AssertionError("element enumeration")
 
         monkeypatch.setattr(StabilizerChain, "elements", refuse)

@@ -80,8 +80,8 @@ def _count_elements(monkeypatch):
     counted = [0]
     elements = StabilizerChain.elements
 
-    def counting(self, limit=None):
-        for t in elements(self, limit):
+    def counting(self):
+        for t in elements(self):
             counted[0] += 1
             yield t
 
@@ -248,7 +248,7 @@ class TestSimplicity:
         assert is_simple(group) is oracle
 
     def test_odd_generator_refuted_without_enumeration(self, monkeypatch):
-        def refuse(self, limit=None):
+        def refuse(self):
             raise AssertionError("element enumeration")
 
         monkeypatch.setattr(StabilizerChain, "elements", refuse)

@@ -98,6 +98,53 @@ class TestCitedMathieuSimplicity:
         assert not any("min-index" in key for key in FACTS)
 
 
+def _cites(verdict, key):
+    record = FACTS[key]
+    return any(
+        (e.status, e.citation, e.evidence) == ("assumed", record.citation, record.statement)
+        for e in verdict.checklist
+    )
+
+
+class TestFamilyFacts:
+    """engine._FAMILY_FACTS: the cited facts each family supplies to the generic route."""
+
+    FAMILIES = {
+        "mathieu11": lambda: fam.mathieu_group(11),
+        "psl2-11-deg11": fam.psl2_11_on_11_points,
+        "psl2-7-deg7": fam.psl2_7_on_7_points,
+        "mathieu22": lambda: fam.mathieu_group(22),
+        "mathieu23": lambda: fam.mathieu_group(23),
+        "mathieu24": lambda: fam.mathieu_group(24),
+    }
+
+    def test_every_row_is_a_recognized_kind(self):
+        assert set(engine._FAMILY_FACTS) == set(self.FAMILIES)
+        for kind, build in self.FAMILIES.items():
+            assert recognize(build()).kind == kind
+
+    def test_every_fact_key_is_registered(self):
+        for row in engine._FAMILY_FACTS.values():
+            keys = [row.simple, row.quaternion, row.q_side, *(k for _, k in row.recorded)]
+            assert all(k in FACTS for k in keys if k is not None)
+
+    @pytest.mark.parametrize("kind", ["mathieu11", "psl2-11-deg11", "psl2-7-deg7"])
+    def test_char_0_never_reads_the_quaternion_fact(self, kind):
+        # an odd genus leaves no quaternionic shape in characteristic 0, so the
+        # characteristic-p fact in the row is never cited there
+        group = self.FAMILIES[kind]()
+        assert (group.degree - 1) // 2 % 2 == 1
+        verdict = analyze_jacobian(case_from_group(group, 0))
+        assert verdict.outcome is Outcome.END_IS_Z
+        assert not _cites(verdict, engine._FAMILY_FACTS[kind].quaternion)
+        assert all("quaternionic shapes" not in e.hypothesis for e in verdict.checklist)
+
+    def test_char_7_cites_the_psl2_7_quaternion_fact(self):
+        verdict = analyze_jacobian(case_from_group(fam.psl2_7_on_7_points(), 7))
+        assert verdict.outcome is Outcome.END_IS_Z
+        assert _cites(verdict, "deg7-psl2-not-supersingular")
+
+
 class TestVerdictInvariants:
     def test_end_is_z_rejects_failed_entries(self):
         bad = ChecklistEntry("something", "failed", "somewhere", "")
@@ -148,7 +195,7 @@ class TestRecognition:
     )
     def test_kinds(self, build, kind):
         g = build()
-        assert recognize(g, g.degree).kind == kind
+        assert recognize(g).kind == kind
 
 
 class TestAnalyzeCenter:
