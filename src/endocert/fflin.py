@@ -14,21 +14,22 @@ e_0 first, then the first unit vector outside the span each time the
 spin stops short of F_2^d.  An element X is fixed by its images of the
 k seeds, and the relations met while spinning give a kernel in k*d
 unknowns (k = 1 when e_0 alone spans, a cyclic module).
+
+``MatF`` is a named tuple and ``Echelon`` a plain class: defining them runs
+no generated code, so the import every command pays stays cheap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 #: Full multiplicative-closure verification is quadratic in the basis; above
 #: this dimension only a deterministic sample of products is checked.
 CLOSURE_CHECK_LIMIT = 64
 
 
-@dataclass(frozen=True)
-class MatF:
+class MatF(NamedTuple):
     """Dense matrix over F_2; row i is an int bitset, bit j holding entry (i, j)."""
 
     nrows: int
@@ -143,13 +144,11 @@ def format_matrix(m: MatF) -> str:
 # -- elimination -----------------------------------------------------------------
 
 
-@dataclass
 class Echelon:
     """Reduced row-echelon form with rank and pivot columns."""
 
-    matrix: MatF
-    rank: int
-    pivots: tuple[int, ...]
+    def __init__(self, matrix: MatF, rank: int, pivots: tuple[int, ...]):
+        self.matrix, self.rank, self.pivots = matrix, rank, pivots
 
 
 def rref(m: MatF) -> Echelon:

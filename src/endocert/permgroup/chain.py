@@ -31,9 +31,7 @@ from .perms import _compose, _invert
 
 
 class _Level:
-    __slots__ = (
-        "point", "gen_ids", "closed", "transversal", "inverse", "orbit", "done_pairs"
-    )
+    __slots__ = ("point", "gen_ids", "closed", "transversal", "inverse", "orbit", "done", "paired")
 
     def __init__(self, point: int, ident: tuple[int, ...]):
         self.point = point
@@ -43,8 +41,11 @@ class _Level:
         self.transversal: dict[int, tuple[int, ...]] = {point: ident}
         self.inverse: dict[int, tuple[int, ...]] = {point: ident}
         self.orbit: list[int] = [point]
-        # (orbit position, global gen id) Schreier pairs already sifted
-        self.done_pairs: set[tuple[int, int]] = set()
+        # done[pos]: how many leading gen_ids have sifted their Schreier pair
+        # at orbit position pos (pairs run in gen_ids order and ids are only
+        # appended, so the done ids are a prefix); paired is the sum
+        self.done: list[int] = []
+        self.paired = 0
 
 
 class StabilizerChain:
@@ -139,25 +140,23 @@ class StabilizerChain:
             for idx in range(len(self.levels) - 1, -1, -1):
                 self._extend_orbit(idx)
                 level = self.levels[idx]
-                if len(level.done_pairs) < len(level.orbit) * len(level.gen_ids):
+                if level.paired < len(level.orbit) * len(level.gen_ids):
                     break
             else:
                 return
             # the orbit is closed under every id in gen_ids, so each g[delta]
             # has a representative
-            pending = [
-                (pos, k)
-                for pos in range(len(level.orbit))
-                for k in level.gen_ids
-                if (pos, k) not in level.done_pairs
-            ]
+            done = level.done
+            done += [0] * (len(level.orbit) - len(done))
+            pending = ((pos, k) for pos, start in enumerate(done) for k in level.gen_ids[start:])
             for pos, k in pending:
                 delta = level.orbit[pos]
                 g = self._strong[k][0]
                 rep = level.transversal[delta]
                 inv_im = level.inverse[g[delta]]
                 schreier = tuple([inv_im[g[x]] for x in rep])
-                level.done_pairs.add((pos, k))
+                done[pos] += 1
+                level.paired += 1
                 if schreier == self.identity:
                     continue
                 residue, stop = self._sift(schreier, idx + 1)

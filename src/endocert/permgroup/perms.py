@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ..errors import ParseError
@@ -48,19 +47,28 @@ def _cycle_type(p: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(lengths, reverse=True))
 
 
-@dataclass(frozen=True)
 class Perm:
-    """A permutation, stored as the tuple of images of 0..n-1."""
+    """A permutation, stored as the tuple of images of 0..n-1; immutable."""
 
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.images)
+    def __init__(self, images: tuple[int, ...]):
+        n = len(images)
         seen = [False] * n
-        for i in self.images:
+        for i in images:
             if not isinstance(i, int) or not 0 <= i < n or seen[i]:
-                raise ValueError(f"not a permutation of 0..{n - 1}: {self.images!r}")
+                raise ValueError(f"not a permutation of 0..{n - 1}: {images!r}")
             seen[i] = True
+        object.__setattr__(self, "images", images)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"Perm is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self.images == other.images if other.__class__ is Perm else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.images,))
 
     @classmethod
     def identity(cls, degree: int) -> "Perm":

@@ -18,6 +18,9 @@ gcds and exact divisions that never loop over coefficients.
 Identification is evidence, never proof: matches carry a confidence below
 1 and downstream verdicts stay flagged as conditional on the group
 assignment.
+
+``IntPoly`` normalises in ``__init__`` and refuses assignment; the census
+and hypothesis records are plain classes.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ import operator
 import re
 import sys
 from array import array
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
@@ -49,17 +51,25 @@ MATCH_THRESHOLD = 0.01
 # -- integer polynomials -----------------------------------------------------
 
 
-@dataclass(frozen=True)
 class IntPoly:
-    """Dense integer polynomial, coefficients ascending, trimmed."""
+    """Dense integer polynomial, coefficients ascending, trimmed; immutable."""
 
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        c = tuple(int(x) for x in self.coeffs)
+    def __init__(self, coeffs: Sequence[int]):
+        c = tuple(int(x) for x in coeffs)
         while c and c[-1] == 0:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"IntPoly is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs if other.__class__ is IntPoly else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
 
     @property
     def degree(self) -> int:
@@ -376,18 +386,19 @@ def odd_primes() -> Iterator[int]:
 # -- the census ----------------------------------------------------------------
 
 
-@dataclass
 class CycleTypeCensus:
-    """Observed degree partitions over the sampled good primes."""
+    """Observed degree partitions over the sampled good primes.
 
-    degree: int
-    sampled: int
-    counts: dict[tuple[int, ...], int]
-    excluded: list[tuple[int, str]] = field(default_factory=list)
-    #: every prime tried, with its degree pattern (None for a bad prime)
-    patterns: dict[int, Optional[tuple[int, ...]]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    ``patterns`` holds every prime tried, with its degree pattern (None for
+    a bad prime).
+    """
+
+    def __init__(self, degree: int, sampled: int, counts: dict[tuple[int, ...], int],
+                 excluded: Optional[list[tuple[int, str]]] = None,
+                 patterns: Optional[dict[int, Optional[tuple[int, ...]]]] = None):
+        self.degree, self.sampled, self.counts = degree, sampled, counts
+        self.excluded = [] if excluded is None else excluded
+        self.patterns = {} if patterns is None else patterns
 
     def support(self) -> set[tuple[int, ...]]:
         return set(self.counts)
@@ -521,7 +532,6 @@ def _gammq(a: float, x: float) -> float:
     return max(0.0, min(1.0, upper))
 
 
-@dataclass
 class GroupHypothesis:
     """One candidate's match against a census.
 
@@ -530,14 +540,12 @@ class GroupHypothesis:
     was computed.
     """
 
-    name: str
-    group: PermGroup
-    matched: bool
-    confidence: float
-    chi_square: float
-    support_contained: bool
-    transitive_evidence: bool
-    distribution: Optional[dict[tuple[int, ...], Fraction]]
+    def __init__(self, name: str, group: PermGroup, matched: bool, confidence: float,
+                 chi_square: float, support_contained: bool, transitive_evidence: bool,
+                 distribution: Optional[dict[tuple[int, ...], Fraction]]):
+        self.name, self.group, self.matched, self.confidence = name, group, matched, confidence
+        self.chi_square, self.support_contained = chi_square, support_contained
+        self.transitive_evidence, self.distribution = transitive_evidence, distribution
 
 
 def identify(

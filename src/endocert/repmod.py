@@ -16,17 +16,15 @@ earlier classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InternalInconsistencyError
 from .fflin import FSubalgebra, MatF, centralizer_basis
 from .permgroup import Perm, PermGroup
 
 
-@dataclass(frozen=True)
-class HeartModule:
+class HeartModule(NamedTuple):
     """The 2g-dimensional F_2 module for n points, with its matrix action."""
 
     n: int
@@ -79,14 +77,13 @@ class CentralizerClass(str, Enum):
     NON_FIELD = "non-field"
 
 
-@dataclass
 class CentralizerReport:
     """Classification of the commuting algebra of a group's heart action."""
 
-    algebra: FSubalgebra
-    classification: CentralizerClass
-    field_size: Optional[int]
-    klemm_hypothesis: bool
+    def __init__(self, algebra: FSubalgebra, classification: CentralizerClass,
+                 field_size: Optional[int], klemm_hypothesis: bool):
+        self.algebra, self.classification = algebra, classification
+        self.field_size, self.klemm_hypothesis = field_size, klemm_hypothesis
 
     @property
     def dim(self) -> int:

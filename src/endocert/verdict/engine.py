@@ -11,15 +11,17 @@ justify becomes INCONCLUSIVE naming the first failed or unknown
 hypothesis.  Families supply their cited facts to the one generic route
 through the ``_FAMILY_FACTS`` table; only A_n, the degree-12 reduction and
 PSL(2,q) on the projective line with q = +-3 (mod 8) keep rules of their own.
+
+Immutable records are named tuples and mutable ones plain classes;
+``Verdict`` checks its checklist in ``__init__``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Literal, Optional
+from typing import Literal, NamedTuple, Optional
 
 from ..arith import factorize, is_odd_prime_power, is_prime
 from ..errors import InternalInconsistencyError
@@ -71,43 +73,34 @@ class Outcome(str, Enum):
     INCONCLUSIVE = "INCONCLUSIVE"
 
 
-@dataclass(frozen=True)
-class ChecklistEntry:
+class ChecklistEntry(NamedTuple):
     hypothesis: str
     status: Status
     citation: str
     evidence: str
 
-    def as_dict(self) -> dict:
-        return {
-            "hypothesis": self.hypothesis,
-            "status": self.status,
-            "citation": self.citation,
-            "evidence": self.evidence,
-        }
 
-
-@dataclass
 class Verdict:
-    outcome: Outcome
-    checklist: list[ChecklistEntry]
-    caveats: list[str] = field(default_factory=list)
-    supersingular_chars: Optional[frozenset[int]] = None
-    conditional: bool = False
-    case: dict = field(default_factory=dict)
-    # the analysed group's heart commutant when a rule computed it, for
-    # `--dump-centralizer`; not part of the report
-    heart_commutant: Optional[CentralizerReport] = field(default=None, repr=False, compare=False)
+    """An outcome and its checklist.  ``heart_commutant``, kept for
+    ``--dump-centralizer`` when a rule computed it, is not in the report."""
 
-    def __post_init__(self):
-        if self.outcome is Outcome.END_IS_Z:
-            bad = [e for e in self.checklist if e.status in ("failed", "unknown")]
+    def __init__(self, outcome: Outcome, checklist: list[ChecklistEntry],
+                 caveats: Optional[list[str]] = None,
+                 supersingular_chars: Optional[frozenset[int]] = None, conditional: bool = False,
+                 case: Optional[dict] = None, heart_commutant: Optional[CentralizerReport] = None):
+        self.outcome, self.checklist = outcome, checklist
+        self.caveats = [] if caveats is None else caveats
+        self.supersingular_chars, self.conditional = supersingular_chars, conditional
+        self.case = {} if case is None else case
+        self.heart_commutant = heart_commutant
+        if outcome is Outcome.END_IS_Z:
+            bad = [e for e in checklist if e.status in ("failed", "unknown")]
             if bad:
                 raise InternalInconsistencyError(
                     "END_IS_Z emitted with failed/unknown hypotheses: "
                     + "; ".join(e.hypothesis for e in bad)
                 )
-        for e in self.checklist:
+        for e in checklist:
             if not e.citation:
                 raise InternalInconsistencyError(
                     f"checklist entry without citation: {e.hypothesis}"
@@ -122,7 +115,7 @@ class Verdict:
             ),
             "conditional": self.conditional,
             "case": self.case,
-            "checklist": [e.as_dict() for e in self.checklist],
+            "checklist": [e._asdict() for e in self.checklist],
             "caveats": list(self.caveats),
         }
 
@@ -161,15 +154,14 @@ def _fact_entry(hypothesis: str, record: FactRecord) -> ChecklistEntry:
 # -- case input ----------------------------------------------------------------
 
 
-@dataclass
 class CaseInput:
     """One jacobian case: a group with its degree, or a matched polynomial."""
 
-    group: PermGroup
-    degree: int
-    char: int
-    polynomial: Optional[IntPoly] = None
-    hypothesis: Optional[GroupHypothesis] = None
+    def __init__(self, group: PermGroup, degree: int, char: int,
+                 polynomial: Optional[IntPoly] = None,
+                 hypothesis: Optional[GroupHypothesis] = None):
+        self.group, self.degree, self.char = group, degree, char
+        self.polynomial, self.hypothesis = polynomial, hypothesis
 
     @property
     def conditional(self) -> bool:
@@ -255,8 +247,7 @@ def _validate_degree(n: int) -> None:
 # -- group recognition -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Recognition:
+class Recognition(NamedTuple):
     kind: str
     label: str
 
@@ -358,16 +349,19 @@ def _escape_indices(g: int) -> dict[int, list[int]]:
 # -- center analysis ---------------------------------------------------------------
 
 
-@dataclass
 class CenterAnalysis:
-    """What the centralizer plus subgroup structure imply about the center."""
+    """What the centralizer plus subgroup structure imply about the center.
 
-    report: CentralizerReport
-    entries: list[ChecklistEntry]
-    center_is_field: TriState
-    center_is_q: TriState
-    live_product_dims: list[int]  # possible g/r dimensions if escapes are live
-    blocked: Optional[str] = None  # first failed/unknown hypothesis, if any
+    ``live_product_dims`` are the possible g/r dimensions if escapes are
+    live; ``blocked`` names the first failed or unknown hypothesis, if any.
+    """
+
+    def __init__(self, report: CentralizerReport, entries: list[ChecklistEntry],
+                 center_is_field: TriState, center_is_q: TriState,
+                 live_product_dims: list[int], blocked: Optional[str] = None):
+        self.report, self.entries, self.blocked = report, entries, blocked
+        self.center_is_field, self.center_is_q = center_is_field, center_is_q
+        self.live_product_dims = live_product_dims
 
 
 def _scan_escapes(ctx: _Ctx, escapes: dict[int, list[int]]) -> tuple[set[int], Optional[int]]:
@@ -514,11 +508,9 @@ def _center_analysis(ctx: _Ctx) -> CenterAnalysis:
 # -- refinements once the center is known rational -----------------------------------
 
 
-@dataclass
 class _Survivor:
-    algebra: str  # "Q" or "H"
-    d: int
-    factor_dim: int
+    def __init__(self, algebra: str, d: int, factor_dim: int):
+        self.algebra, self.d, self.factor_dim = algebra, d, factor_dim  # algebra "Q" or "H"
 
 
 def _hp_units_solvable_entries() -> list[ChecklistEntry]:
@@ -825,8 +817,7 @@ def _analyze_group_case(
     return _generic_rule(ctx, char, entries, caveats, facts)
 
 
-@dataclass(frozen=True)
-class _FamilyFacts:
+class _FamilyFacts(NamedTuple):
     """The cited facts an identification supplies to the generic route, by key."""
 
     simple: Optional[str] = None  # the group's simplicity, as ctx.cited_simple

@@ -8,11 +8,10 @@ everything taken on faith.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class FactRecord:
+class FactRecord(NamedTuple):
     key: str
     statement: str
     citation: str

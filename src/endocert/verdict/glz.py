@@ -11,8 +11,7 @@ explicit integer powering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..arith import factorize
 
@@ -92,8 +91,7 @@ def _block_diag(blocks: list[IntMatrix], n: int) -> IntMatrix:
     return tuple(tuple(r) for r in rows)
 
 
-@dataclass(frozen=True)
-class OrderWitness:
+class OrderWitness(NamedTuple):
     """A verified element of the requested order in GL(n, Z)."""
 
     n: int

@@ -161,10 +161,10 @@ def test_order_dividing_enumeration_builds_no_perm(monkeypatch):
         for d in (1, 2, 3, 4, 6)
     }
 
-    def refuse(self):
+    def refuse(self, images):
         raise AssertionError("Perm built while enumerating")
 
-    monkeypatch.setattr(Perm, "__post_init__", refuse)
+    monkeypatch.setattr(Perm, "__init__", refuse)
     for d, perms in expected.items():
         assert subsearch._perms_of_order_dividing.__wrapped__(7, d) == perms
 

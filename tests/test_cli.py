@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -268,21 +269,41 @@ class TestGrammar:
         others = {name for _, _, spec in cli._COMMANDS.values() for name, _, _, _ in spec}
         assert not [name for name in others - set(flags) if f"{name} " in out]
 
-    def test_well_formed_run_imports_no_argparse_gettext_or_locale(self):
+    @staticmethod
+    def _imported_after(argv, modules):
+        """Which of ``modules`` a fresh process holds after one ``main(argv)``."""
         env = dict(os.environ, PYTHONPATH=str(SRC))
         code = (
             "import io, sys, contextlib; from endocert.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert main(['group-check', '--degree', '5', '--generators', 'A5']) == 0\n"
-            "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))"
+            f"    assert main({argv!r}) == 0\n"
+            f"print(sorted({set(modules)!r} & set(sys.modules)))"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        return proc.stdout.strip()
+
+    def test_well_formed_run_imports_no_argparse_gettext_or_locale(self):
+        argv = ["group-check", "--degree", "5", "--generators", "A5"]
+        assert self._imported_after(argv, ["argparse", "gettext", "locale"]) == "[]"
+
+    @pytest.mark.parametrize("argv", [
+        ["group-check", "--degree", "5", "--generators", "A5"],
+        ["analyze", "--poly", "x^5 - x - 1"],
+    ])
+    def test_run_imports_no_dataclasses_or_inspect(self, argv):
+        # each would cost a cold start about 10 ms of imports, and the
+        # dataclass decorator generates and compiles code for every record
+        assert self._imported_after(argv, ["dataclasses", "inspect"]) == "[]"
 
     def test_no_module_imports_argparse(self):
         users = [path for path in SRC.rglob("*.py") if "import argparse" in path.read_text()]
+        assert users == []
+
+    def test_no_module_imports_dataclasses(self):
+        pattern = re.compile(r"^\s*(?:import|from)\s+dataclasses\b", re.M)
+        users = [path for path in SRC.rglob("*.py") if pattern.search(path.read_text())]
         assert users == []
 
 

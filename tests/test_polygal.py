@@ -399,10 +399,10 @@ class TestDistributions:
             key = cycle_type(Perm(t))
             counts[key] = counts.get(key, 0) + 1
 
-        def refuse(self):
+        def refuse(self, images):
             raise AssertionError("Perm built while enumerating")
 
-        monkeypatch.setattr(Perm, "__post_init__", refuse)
+        monkeypatch.setattr(Perm, "__init__", refuse)
         dist = cycle_type_distribution(group)
         assert dist == {t: Fraction(c, group.order()) for t, c in counts.items()}
 
