@@ -2,9 +2,9 @@
 
 Immutable records are named tuples, or (``Perm``, ``IntPoly``) classes that
 validate or normalise in ``__init__``; mutable records are plain classes.
-None of them is a dataclass any more (importing ``dataclasses`` and
-decorating the records was a fifth of a cold start); these tests pin what
-callers relied on when they were.
+None is a dataclass (importing ``dataclasses`` and decorating the records
+cost about a quarter of a cold start); these tests pin what callers relied
+on when they were.
 """
 
 import pytest
