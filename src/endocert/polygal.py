@@ -10,8 +10,9 @@ The discriminant decides squarefreeness over Q (disc != 0) and at every
 prime not dividing the leading coefficient (p does not divide disc), so no
 prime pays for a gcd(f, f').  The distinct-degree factorization computes
 x^p mod f once per prime and each further x^(p^d) with the Frobenius
-matrix, and one gcd splits off the factor of degree > n/2, if any.  It runs
-entirely on packed polynomials mod p, one Python integer each: Barrett
+matrix, and splits f by one bisection over factor-degree ranges, one gcd
+with a product of the x^(p^d) - x per split.  It runs entirely on packed
+polynomials mod p, one Python integer each in byte-sized slots: Barrett
 reduction mod p of all coefficients at once, Barrett division modulo f, and
 gcds and exact divisions that never loop over coefficients.
 
@@ -29,8 +30,6 @@ import itertools
 import math
 import operator
 import re
-import sys
-from array import array
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
@@ -221,38 +220,23 @@ def is_squarefree(f: IntPoly) -> bool:
 # -- packed polynomials mod p (Kronecker substitution) --------------------------
 
 
-_LITTLE_ENDIAN = sys.byteorder == "little"
-
-
-def _pack(c: Sequence[int], k: int) -> int:
-    """Coefficients 0 <= c_i < 2^(8k) as one integer, c_i in bytes [ik, ik+k)."""
-    if k == 8 and _LITTLE_ENDIAN:
-        return int.from_bytes(array("Q", c), "little")
-    return int.from_bytes(b"".join([v.to_bytes(k, "little") for v in c]), "little")
-
-
-def _unpack(x: int, count: int, k: int) -> list[int]:
-    """The first ``count`` slots of a packed polynomial."""
-    b = x.to_bytes(count * k, "little")
-    if k == 8 and _LITTLE_ENDIAN:
-        return memoryview(b).cast("Q").tolist()
-    return [int.from_bytes(b[i : i + k], "little") for i in range(0, len(b), k)]
-
-
 class _Slots:
     """Polynomials mod p of degree <= n packed into w-bit slots of one
     integer, slot i holding coefficient i, canonical in [0, p) between steps.
 
-    No slot the DDF forms exceeds 3n(p-1)^2 < 2^b, so none carries into the
-    next, and ``vmod`` reduces all slots at once by Barrett's method (CRYPTO
-    '86): q = floor(v m / 2^b) with m = floor(2^b / p) is floor(v / p) or one
-    less, and bit c of v - q p + 2^c - p says which.  v m < 2^(2b - c + 1)
-    must fit a slot, so w is the least multiple of 64 with w >= 2b - c + 3.
+    A product of canonical polynomials of degree < n has slots below np^2,
+    and the DDF's reduction modulo f leaves its quotient's slots in [0, 2p),
+    whose products with mu and with the tail of f stay below 2np^2: no slot
+    reaches 3np^2 < 2^b, so none carries into the next.  ``vmod`` reduces
+    all slots at once by Barrett's method (CRYPTO '86): q = floor(v m / 2^b)
+    with m = floor(2^b / p) is floor(v / p) or one less, and bit c of
+    v - q p + 2^c - p says which.  v m < 2^(2b - c + 1) must fit a slot, so
+    w is the least multiple of 8 with w >= 2b - c + 3.
     """
 
     def __init__(self, n: int, p: int):
-        self.p, self.b, self.c = p, (3 * n * (p - 1) ** 2).bit_length(), p.bit_length()
-        self.w = w = (2 * self.b - self.c + 66) // 64 * 64
+        self.p, self.b, self.c = p, (3 * n * p * p).bit_length(), p.bit_length()
+        self.w = w = (2 * self.b - self.c + 10) // 8 * 8
         ones = int.from_bytes((b"\1" + bytes(w // 8 - 1)) * (n + 1), "little")
         self.m, self.ones = (1 << self.b) // p, ones
         self.low = ((1 << w - self.b) - 1) * ones  # room for each slot's q
@@ -293,21 +277,23 @@ def _pm_gcd(a: int, b: int, r: _Slots) -> int:
 def degree_pattern_mod_p(f: IntPoly, p: int) -> Optional[tuple[int, ...]]:
     """Multiset of irreducible-factor degrees of f mod p, descending.
 
-    Blocked distinct-degree factorization (von zur Gathen-Shoup,
-    *Comput. Complexity* 2, 1992): one gcd of f with P = prod_{d <= n/2}
-    (x^(p^d) - x) mod f gives the product g of all factors of degree
-    <= n/2.  A squarefree f has at most one factor of larger degree, so
-    when deg g < n it is that factor, of degree n - deg g.  Inside g, the
-    product of the factors of degree d is gcd(work, x^(p^d) - x), where
-    ``work`` is g with the factors of degree < d divided out; only the
-    partition matters, so no equal-degree splitting is needed.
+    Distinct-degree factorization by one bisection over degree ranges,
+    blocked as in von zur Gathen-Shoup (*Comput. Complexity* 2, 1992): for
+    a squarefree ``work`` dividing f, gcd(work, P_k) with P_k = prod_{d <= k}
+    (x^(p^d) - x) mod f is the product of its factors of degree <= k.  A
+    node (work, (lo, hi]) holds factors of degrees in (lo, hi], hi <= L =
+    deg work.  From (f, (0, n]), work is one factor when L < 2(lo + 1), and
+    L / hi factors of degree hi when hi = lo + 1; otherwise it splits into
+    (g, (lo, mid]) and (work / g, (mid, hi]), dropping a child of degree 0,
+    with g = gcd(work, P_mid) and mid = min(floor((lo + hi) / 2), n // 2).
+    Only the partition matters, so no equal-degree splitting is needed.
 
     The powers x^(p^d) come from the Frobenius (Berlekamp) matrix Q of
     f mod p, row i = x^(p*i) mod f: x^p mod f by square-and-multiply once,
-    then h(x)^p = sum_i h_i Q_i (Cohen, GTM 138, section 3.4; von zur
-    Gathen-Gerhard, *Modern Computer Algebra*, ch. 14).  They stay reduced
-    modulo f, never modulo ``work``: ``work`` divides f, so every gcd is
-    unchanged.
+    from x^e for the leading bits e < n of p, then h(x)^p = sum_i h_i Q_i
+    (Cohen, GTM 138, section 3.4; von zur Gathen-Gerhard, *Modern Computer
+    Algebra*, ch. 14).  They stay reduced modulo f, never modulo ``work``:
+    ``work`` divides f, so every gcd is unchanged.
 
     Every polynomial, gcds and divisions included, is a packed integer
     (Kronecker substitution; von zur Gathen-Gerhard, section 8.4) with its
@@ -315,8 +301,9 @@ def degree_pattern_mod_p(f: IntPoly, p: int) -> Optional[tuple[int, ...]]:
     step reads coefficients out.  A product x is reduced modulo the monic f
     by Barrett division with mu = x^(2n-2) div f (von zur Gathen-Gerhard,
     section 9.1): the quotient (x div x^n) mu div x^(n-2) is exact, since
-    polynomial division carries nothing.  mu is one packed long division
-    per prime; for x^n + a x + b it is x^(n-2).
+    polynomial division carries nothing, and its slots are left in [0, 2p).
+    mu is one packed long division per prime; for x^n + a x + b it is
+    x^(n-2).  A product by x folds its one slot above x^(n-1) into the rest.
 
     Returns None for a bad prime: p dividing the leading coefficient, or
     f mod p not squarefree, which for p not dividing lc(f) holds exactly
@@ -333,49 +320,53 @@ def degree_pattern_mod_p(f: IntPoly, p: int) -> Optional[tuple[int, ...]]:
     if f.discriminant % p == 0:
         return None
     r = _Slots(n, p)
-    vmod, w, k = r.vmod, r.w, r.w // 8
+    vmod, w, m, b, qlow = r.vmod, r.w, r.m, r.b, r.low
     inv = pow(f.leading(), -1, p)
-    fm = _pack([c * inv % p for c in f.coeffs], k)  # f / lc(f) mod p
-    low, shift = (1 << w * n) - 1, w * (n - 2)
+    fm = sum(c * inv % p << i * w for i, c in enumerate(f.coeffs))  # f / lc(f) mod p
+    low, shift, top, mask = (1 << w * n) - 1, w * (n - 2), w * (n - 1), (1 << w) - 1
     mu = r.divmod(1 << w * (2 * n - 2), fm)[0]
     tail = r.vmod(p * r.ones - fm) & low  # -f mod p without its x^n
 
     def reduce(x: int) -> int:
         # x of degree <= 2n - 2; its high half is reduced before it meets mu,
         # or a dense mu overflows a slot
-        q = vmod(vmod(x >> w * n) * mu >> shift)
+        q = x >> w * n
+        q = (q - (q * m >> b & qlow) * p) * mu >> shift
+        q -= (q * m >> b & qlow) * p
         return vmod((x & low) + (q * tail & low))
 
-    xp = 1
-    for bit in bin(p)[2:]:
+    s = max(p.bit_length() - (n - 1).bit_length(), 0)
+    s += p >> s >= n
+    xp = 1 << w * (p >> s)
+    for i in range(s - 1, -1, -1):
         xp = reduce(xp * xp)
-        if bit == "1":
-            xp = reduce(xp << w)
+        if p >> i & 1:
+            xp = vmod((xp << w & low) + (xp >> top) * tail)
     rows = [1, xp]
     while len(rows) < n:
         rows.append(reduce(rows[-1] * xp))
     minus_x = (p - 1) << w
-    diffs = [vmod(xp + minus_x)]  # x^(p^d) - x mod f, d = 1 .. n // 2
-    prod, h = diffs[0], xp
-    while len(diffs) < n // 2:
-        h = vmod(sum(map(operator.mul, _unpack(h, n, k), rows)))
-        diffs.append(vmod(h + minus_x))
-        prod = reduce(prod * diffs[-1])
-    work = _pm_gcd(fm, prod, r)
-    left = (work.bit_length() - 1) // w
-    # at most one factor has degree > n/2, and it is what the gcd leaves out
-    degrees = [n - left] if left < n else []
-    d = 1
-    while 2 * d <= left:
-        g = _pm_gcd(work, diffs[d - 1], r)
-        dg = (g.bit_length() - 1) // w
-        if dg:
-            degrees.extend([d] * (dg // d))
-            work, left = r.divmod(work, g)[0], left - dg
-        d += 1
-    if left:
-        # no factor of degree < d is left and 2d exceeds the degree
-        degrees.append(left)
+    prods, h = [vmod(xp + minus_x)], xp  # P_1 .. P_(n // 2)
+    while len(prods) < n // 2:
+        h = vmod(sum(map(operator.mul, [h >> i & mask for i in range(0, n * w, w)], rows)))
+        prods.append(reduce(prods[-1] * vmod(h + minus_x)))
+    degrees, nodes = [], [(fm, 0, n)]
+    while nodes:
+        work, lo, hi = nodes.pop()
+        left = (work.bit_length() - 1) // w
+        hi = min(hi, left)  # no factor of work is longer than work
+        if left < 2 * lo + 2:  # two factors would need degree >= 2(lo + 1)
+            degrees.append(left)
+        elif hi == lo + 1:
+            degrees.extend([hi] * (left // hi))
+        else:
+            mid = min((lo + hi) // 2, n // 2)
+            g = _pm_gcd(prods[mid - 1], work, r)
+            dg = (g.bit_length() - 1) // w
+            if dg < left:
+                nodes.append((r.divmod(work, g)[0] if dg else work, mid, hi))
+            if dg:
+                nodes.append((g, lo, mid))
     return tuple(sorted(degrees, reverse=True))
 
 

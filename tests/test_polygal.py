@@ -1,3 +1,4 @@
+import collections
 import functools
 import json
 import math
@@ -214,10 +215,10 @@ class TestDegreePatternOracle:
             assert any(ddf_pattern_mod_p(f.coeffs, p) is None for p in primes), name
 
 
-# 2^31 - 1, 10^9 + 7 and the first prime above 2^40: a Barrett slot has at
-# least 2b - bits(p) + 3 bits, b the bit length of 3n(p-1)^2, so two 64-bit
-# words at every packed degree (n >= 2) at the first two, and three from
-# degree 3 at the third
+# 2^31 - 1, 10^9 + 7 and the first prime above 2^40: a Barrett slot has
+# 2b - bits(p) + 3 bits rounded up to whole bytes, b the bit length of
+# 3np^2, so 104-112 bits at every packed degree (n >= 2) at the first two,
+# and 128-136 at the third
 _WIDE_PRIMES = (2**31 - 1, 10**9 + 7, 2**40 + 15)
 _WIDE_POLYS = {
     **{name: _ORACLE_POLYS[name] for name in ("x^24-x-1", "trinks", "dense11", "dense24")},
@@ -227,7 +228,7 @@ _WIDE_POLYS = {
 
 
 class TestDegreePatternWideSlots:
-    """Primes whose packed slots are wider than one 64-bit word."""
+    """Primes whose packed slots are more than 100 bits wide."""
 
     def test_first_prime_above_2_40(self):
         assert is_prime(2**40 + 15)
@@ -241,23 +242,24 @@ class TestDegreePatternWideSlots:
 
 
 def _slot_bits(n, p):
-    return 2 * (3 * n * (p - 1) ** 2).bit_length() - p.bit_length() + 3
+    return 2 * (3 * n * p * p).bit_length() - p.bit_length() + 3
 
 
-# at each degree, the largest prime whose slot fits one 64-bit word and the
-# smallest prime whose slot needs a second one
-_WORD_EDGES = {2: (428047, 428083), 12: (123553, 123581), 24: (61781, 61813)}
+# at each degree, the last prime whose slot fits 40 bits and the first whose
+# slot needs 48: the census of a degree-12 or degree-24 polynomial crosses
+# this step within its first 200 primes
+_WIDTH_STEPS = {2: (1669, 1693), 12: (479, 487), 24: (241, 251)}
 _EDGE_POLYS = {2: ("dense2",), 12: ("x^12-x-1",), 24: ("x^24-x-1", "dense24")}
 
 
-@pytest.mark.parametrize("n", sorted(_WORD_EDGES))
-def test_degree_pattern_on_both_sides_of_a_second_slot_word(n):
-    below, above = _WORD_EDGES[n]
+@pytest.mark.parametrize("n", sorted(_WIDTH_STEPS))
+def test_degree_pattern_on_both_sides_of_a_slot_width_step(n):
+    below, above = _WIDTH_STEPS[n]
     assert is_prime(below) and is_prime(above)
     assert not any(is_prime(q) for q in range(below + 2, above, 2))
-    assert not any(is_prime(q) for q in range(3, below, 2) if _slot_bits(n, q) > 64)
-    assert _slot_bits(n, above) > 64
-    assert (polygal._Slots(n, below).w, polygal._Slots(n, above).w) == (64, 128)
+    assert not any(is_prime(q) for q in range(3, below, 2) if _slot_bits(n, q) > 40)
+    assert _slot_bits(n, below) <= 40 < _slot_bits(n, above)
+    assert (polygal._Slots(n, below).w, polygal._Slots(n, above).w) == (40, 48)
     for name in _EDGE_POLYS[n]:
         f = _ORACLE_POLYS[name]
         assert f.degree == n
@@ -285,13 +287,23 @@ _PROPERTY_PRIMES = [q for q in range(3, 1300, 2) if is_prime(q)] + [2**61 - 1]
 
 @st.composite
 def ddf_inputs(draw):
-    """f of degree 2..24, half of them a^2 b with deg a >= 1, and a prime."""
+    """f of degree 2..24 and a prime.  A third of the f are a^2 b with
+    deg a >= 1, a third are products of small factors over Z that come in
+    pairs of equal degree, so that no factor mod p is longer than n/2 and
+    degrees repeat, and a third are dense."""
     coeff = st.integers(-30, 30)
-    if draw(st.booleans()):
+    arm = draw(st.sampled_from(["square", "pairs", "dense"]))
+    if arm == "square":
         a = draw(st.lists(coeff, min_size=1, max_size=4)) + [draw(st.sampled_from([1, -1, 2, 3]))]
         room = 24 - 2 * (len(a) - 1)
         b = draw(st.lists(coeff, max_size=room)) + [draw(st.sampled_from([1, -5]))]
         coeffs = _times(_times(a, a), b)
+    elif arm == "pairs":
+        coeffs = [1]
+        for d in draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)):
+            for _ in range(2):
+                lead = draw(st.sampled_from([1, -1, 3]))
+                coeffs = _times(coeffs, draw(st.lists(coeff, min_size=d, max_size=d)) + [lead])
     else:
         n = draw(st.integers(2, 24))
         coeffs = draw(st.lists(coeff, min_size=n, max_size=n))
@@ -307,13 +319,93 @@ def test_degree_pattern_agrees_with_the_ladder(case):
 
 
 def test_census_gcd_work(monkeypatch):
-    # one gcd for all factors of degree <= 12 and none for squarefreeness:
-    # 928 mod-p gcds for the 201 primes, against 1,907 per-degree gcds
+    # none for squarefreeness, and one per split node of the degree-range
+    # bisection: its first gcd splits off the factor of degree > 12 if any,
+    # and the factors of degree <= 12 are split by halving the degree range,
+    # not one degree at a time: 691 mod-p gcds for the 201 primes, against
+    # 928 for a first gcd and then one per degree, and 1,907 per-degree gcds
+    # alone
     calls = []
     gcd = polygal._pm_gcd
     monkeypatch.setattr(polygal, "_pm_gcd", lambda a, b, r: calls.append(r.p) or gcd(a, b, r))
     census(IntPoly.parse("x^24 - x - 1"))
-    assert len(calls) <= 1000
+    assert len(calls) <= 700
+
+
+def _replay_bisection(degrees, n, branches):
+    """The degree-range bisection of ``degree_pattern_mod_p`` run on a known
+    list of factor degrees: tallies each node's branch in ``branches`` and
+    returns (deg work, deg gcd) for every node that takes a gcd."""
+    gcds, nodes = [], [(list(degrees), 0, n)]
+    while nodes:
+        work, lo, hi = nodes.pop()
+        left = sum(work)
+        hi = min(hi, left)
+        assert all(lo < d <= hi for d in work)
+        if left < 2 * lo + 2:
+            assert len(work) == 1
+            branches["single factor"] += 1
+        elif hi == lo + 1:
+            branches["equal degrees"] += 1
+        else:
+            mid = min((lo + hi) // 2, n // 2)
+            short = [d for d in work if d <= mid]
+            dg = sum(short)
+            gcds.append((left, dg))
+            branches["dg = 0" if dg == 0 else "dg = L" if dg == left else "split"] += 1
+            if dg < left:
+                nodes.append(([d for d in work if d > mid], mid, hi))
+            if dg:
+                nodes.append((short, lo, mid))
+    return gcds
+
+
+def _irreducible_mod(p, d, rng, taken):
+    """A monic integer polynomial of degree d, coefficients in (-p/2, p/2),
+    irreducible mod p and not in ``taken``."""
+    while True:
+        g = tuple(rng.randint(-(p // 2), p // 2) for _ in range(d)) + (1,)
+        if g not in taken and ddf_pattern_mod_p(g, p) == (d,):
+            taken.add(g)
+            return g
+
+
+# factor degrees mod 31 of products of small integer factors, every factor
+# of degree <= n/2 and some degrees repeated
+_SHORT_FACTOR_DEGREES = ([1, 1, 2, 3, 3, 4, 4, 6], [2, 2, 2, 2, 4, 4, 8], [5, 5, 7, 7], [3, 3, 3, 1])
+
+
+def _short_factor_product(degrees, p=31):
+    rng, taken, coeffs = random.Random(sum(degrees) * 1000 + len(degrees)), set(), [1]
+    for d in degrees:
+        coeffs = _times(coeffs, _irreducible_mod(p, d, rng, taken))
+    return IntPoly(coeffs)
+
+
+def test_degree_range_bisection_takes_every_branch(monkeypatch):
+    events = []
+    gcd = polygal._pm_gcd
+
+    def counted(a, b, r):
+        g = gcd(a, b, r)
+        events.append(((b.bit_length() - 1) // r.w, (g.bit_length() - 1) // r.w))
+        return g
+
+    monkeypatch.setattr(polygal, "_pm_gcd", counted)
+    branches = collections.Counter()
+    for degrees in _SHORT_FACTOR_DEGREES:
+        f = _short_factor_product(degrees)
+        assert f.degree == sum(degrees)
+        assert degree_pattern_mod_p(f, 31) == tuple(sorted(degrees, reverse=True))
+        for p in _first_odd_primes(40):
+            events.clear()
+            mine = degree_pattern_mod_p(f, p)
+            assert mine == ddf_pattern_mod_p(f.coeffs, p)
+            if mine is not None:
+                replay = _replay_bisection(mine, f.degree, branches)
+                assert sorted(events) == sorted(replay)
+    for branch in ("single factor", "equal degrees", "dg = 0", "dg = L"):
+        assert branches[branch] >= 1, branch
 
 
 class TestCensus:
